@@ -29,7 +29,6 @@ from .hadamard import (
 )
 from .lattice import (
     FrequencySet,
-    LatticeConfig,
     LatticeSet,
     build_lambda1,
     build_omega1,
@@ -57,7 +56,6 @@ __all__ = [
     "ExtendedFrequency",
     "FrequencySet",
     "GroupSpec",
-    "LatticeConfig",
     "LatticeSet",
     "SpectrumSearch",
     "SpectrumVerification",

@@ -1,9 +1,10 @@
 """Command-line front end: build the counterexample pipeline, scan small
 groups, verify user-supplied certificates, export geometry.
 
-Exit status is 0 exactly when every verification in the invoked pipeline
-passes.  With --json the output is deterministic machine-readable JSON on
-every path, including failures.
+Exit status: 0 when every verification in the invoked pipeline passes,
+1 when one fails, 2 on bad input, 3 when a search node budget runs out.
+With --json the output is deterministic machine-readable JSON on every
+path, including failures.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import continuum, hadamard, lattice, spectra, tiling
+from .cyclotomic import MAX_ORDER
 from .groups import GroupSpec, element_set_from_json, element_set_to_json
 
 
@@ -28,6 +30,15 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 def _descended_pair():
     g6, t6, l6 = hadamard.spectrum_from_butson(hadamard.paper_h6())
     return hadamard.descend(g6, t6, l6)
+
+
+def _lifted_pair(m: int):
+    """Omega_1 and Lambda_1 at scale m; scales whose order-3m zero tests the
+    cyclotomic kernel refuses are rejected before any point is built."""
+    if 3 * m > MAX_ORDER:
+        raise ValueError(f"--m {m}: root order 3M = {3 * m} exceeds {MAX_ORDER}")
+    _, t5, l5 = _descended_pair()
+    return lattice.build_omega1(t5, m), lattice.build_lambda1(l5, m)
 
 
 def _finite_counterexample(variant: str):
@@ -72,9 +83,7 @@ def cmd_counterexample(args) -> int:
             }
         )
     elif args.variant == "lattice":
-        _, t5, l5 = _descended_pair()
-        omega1 = lattice.build_omega1(t5, args.m)
-        lambda1 = lattice.build_lambda1(l5, args.m)
+        omega1, lambda1 = _lifted_pair(args.m)
         ortho = lattice.verify_ortho_lattice(omega1, lambda1)
         checks.append(
             (
@@ -103,9 +112,7 @@ def cmd_counterexample(args) -> int:
             }
         )
     elif args.variant == "continuum":
-        _, t5, l5 = _descended_pair()
-        omega1 = lattice.build_omega1(t5, args.m)
-        lambda1 = lattice.build_lambda1(l5, args.m)
+        omega1, lambda1 = _lifted_pair(args.m)
         omega2 = continuum.build_omega2(omega1)
         result = continuum.verify_spectrum_truncation(
             omega1, lambda1, args.k_radius, pair_budget=args.pair_budget
@@ -216,9 +223,8 @@ def cmd_verify(args) -> int:
         _emit(args, payload, lines)
         return 0 if check.ok else 1
 
-    if args.group is None:
-        print("verify: --group is required without --matrix", file=sys.stderr)
-        return 2
+    if args.group is None or args.set is None:
+        raise ValueError("verify: need --matrix, or --group with --set")
     g = GroupSpec.from_descriptor(args.group)
     T = _load_set(g, args.set)
     if args.spectrum is not None:
@@ -263,8 +269,7 @@ def cmd_verify(args) -> int:
         )
         _emit(args, payload, lines)
         return 0 if ok else 1
-    print("verify: need --spectrum or --complement with --set", file=sys.stderr)
-    return 2
+    raise ValueError("verify: need --spectrum or --complement with --set")
 
 
 def cmd_export(args) -> int:
@@ -295,8 +300,26 @@ def cmd_density(args) -> int:
     return 0 if report.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors surface as ValueError, so main reports them like any
+    other bad input (as a JSON error object under --json)."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _at_least(lo: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fuglede",
         description=(
             "Exact constructions and certificates for spectral sets and "
@@ -311,9 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
         "variant",
         choices=["z2-12", "z3-6", "z3-5", "z2-11", "lattice", "continuum"],
     )
-    p.add_argument("--m", type=int, default=2, help="lattice truncation scale")
-    p.add_argument("--k-radius", type=int, default=1, dest="k_radius")
-    p.add_argument("--pair-budget", type=int, default=1_000_000, dest="pair_budget")
+    p.add_argument("--m", type=_at_least(1), default=2, help="lattice truncation scale")
+    p.add_argument("--k-radius", type=_at_least(0), default=1, dest="k_radius")
+    p.add_argument(
+        "--pair-budget", type=_at_least(1), default=1_000_000, dest="pair_budget"
+    )
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("scan", help="scan all subset classes of a small group")
@@ -330,29 +355,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="export the cube-union geometry")
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_at_least(1), default=2)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("density", help="window density report for the lifted set")
-    p.add_argument("--m", type=int, default=16)
-    p.add_argument("--l", type=int, default=8)
-    p.add_argument("--stride", type=int, default=4)
+    p.add_argument("--m", type=_at_least(1), default=16)
+    p.add_argument("--l", type=_at_least(1), default=8)
+    p.add_argument("--stride", type=_at_least(1), default=4)
     p.set_defaults(func=cmd_density)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except (spectra.SearchBudgetExceeded, tiling.CoverBudgetExceeded) as exc:
+        code = 3
+        error = {"error": str(exc), "budget": tiling.resolve_node_budget(None)}
     except (ValueError, OSError) as exc:
-        if args.json:
-            print(json.dumps({"error": str(exc)}, sort_keys=True))
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, {"error": str(exc)}
+    # Read from argv, not args, so usage errors are JSON under --json too.
+    if "--json" in argv:
+        print(json.dumps(error, sort_keys=True))
+    else:
+        print(f"error: {error['error']}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
-"""Exact arithmetic on integer combinations of m-th roots of unity.
+"""Exact zero tests for integer combinations of m-th roots of unity.
 
 A value is stored as a length-m integer coefficient vector c with
 value = sum_k c[k] * omega_m^k, omega_m = e^{2*pi*i/m}.  Zero testing
 reduces the coefficient polynomial modulo the m-th cyclotomic polynomial,
-so every vanishing-sum claim is decided with integers only.
+so every vanishing-sum claim is decided with integers only, by the one
+batched kernel `vanishing`.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 MAX_ORDER = 64
 
@@ -47,11 +50,11 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def reduction_matrix(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row k is the remainder of x^k modulo Phi_m (length phi(m)).
+def reduction_matrix(m: int) -> np.ndarray:
+    """Row k is the remainder of x^k modulo Phi_m (length phi(m)), as a
+    read-only int64 array shared by every caller.
 
-    A coefficient vector c represents zero iff c @ matrix == 0; the same
-    linear map backs the vectorized zero tests in the lattice module.
+    A coefficient vector c represents zero iff c @ matrix == 0.
     """
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
@@ -67,8 +70,24 @@ def reduction_matrix(m: int) -> tuple[tuple[int, ...], ...]:
             if lead:
                 for i in range(deg):
                     cur[i] -= lead * phi[i]
-        rows.append(tuple(cur))
-    return tuple(rows)
+        rows.append(cur)
+    matrix = np.array(rows, dtype=np.int64)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def vanishing(counts) -> np.ndarray:
+    """Exact zero test on a batch of sums of m-th roots of unity.
+
+    counts has shape (..., m); entry k of a row is the multiplicity of
+    omega_m^k.  Returns a boolean array of shape (...), True where the sum
+    vanishes, i.e. where the remainder modulo Phi_m is zero.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    m = counts.shape[-1]
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"unsupported root order {m}")
+    return ~counts.dot(reduction_matrix(m)).any(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -79,66 +98,12 @@ class CyclotomicInt:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.order <= MAX_ORDER:
-            raise ValueError(f"unsupported root order {self.order}")
         if len(self.coeffs) != self.order:
             raise ValueError("coefficient vector length must equal the order")
 
-    @classmethod
-    def zero(cls, m: int) -> CyclotomicInt:
-        return cls(m, (0,) * m)
-
-    @classmethod
-    def from_root(cls, m: int, k: int) -> CyclotomicInt:
-        c = [0] * m
-        c[k % m] = 1
-        return cls(m, tuple(c))
-
-    @classmethod
-    def from_counts(cls, m: int, counts) -> CyclotomicInt:
-        return cls(m, tuple(counts))
-
-    def __add__(self, other: CyclotomicInt) -> CyclotomicInt:
-        self._check(other)
-        return CyclotomicInt(
-            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: CyclotomicInt) -> CyclotomicInt:
-        self._check(other)
-        return CyclotomicInt(
-            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> CyclotomicInt:
-        return CyclotomicInt(self.order, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: CyclotomicInt) -> CyclotomicInt:
-        self._check(other)
-        m = self.order
-        out = [0] * m
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % m] += a * b
-        return CyclotomicInt(m, tuple(out))
-
-    def conjugate(self) -> CyclotomicInt:
-        m = self.order
-        return CyclotomicInt(m, tuple(self.coeffs[(-k) % m] for k in range(m)))
-
     def is_zero(self) -> bool:
         """Exact zero test: remainder modulo Phi_m vanishes."""
-        rows = reduction_matrix(self.order)
-        deg = len(rows[0])
-        rem = [0] * deg
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = rows[k]
-                for i in range(deg):
-                    rem[i] += c * row[i]
-        return not any(rem)
+        return bool(vanishing(self.coeffs))
 
     def to_complex(self) -> complex:
         """Floating-point evaluation, diagnostics only."""
@@ -148,9 +113,3 @@ class CyclotomicInt:
             for k, c in enumerate(self.coeffs)
             if c
         )
-
-    def _check(self, other: CyclotomicInt) -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"mixed root orders {self.order} and {other.order}"
-            )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .cyclotomic import MAX_ORDER, CyclotomicInt
+from .cyclotomic import CyclotomicInt
 
 Element = tuple[int, ...]
 
@@ -63,12 +63,7 @@ class GroupSpec:
 
     @cached_property
     def exponent(self) -> int:
-        m = math.lcm(*self.moduli)
-        if m > MAX_ORDER:
-            raise ValueError(
-                f"group exponent {m} exceeds supported root order {MAX_ORDER}"
-            )
-        return m
+        return math.lcm(*self.moduli)
 
     @cached_property
     def _weights(self) -> tuple[int, ...]:
@@ -86,11 +81,6 @@ class GroupSpec:
 
     def identity(self) -> Element:
         return (0,) * self.ndim
-
-    def reduce(self, coords: Iterable[int]) -> Element:
-        return tuple(
-            int(c) % n for c, n in zip(coords, self.moduli, strict=True)
-        )
 
     def validate(self, x: Element) -> None:
         if len(x) != self.ndim:
@@ -161,7 +151,7 @@ class GroupSpec:
             empty = False
         if empty:
             raise ValueError("character sum over the empty set")
-        return CyclotomicInt.from_counts(m, counts)
+        return CyclotomicInt(m, tuple(counts))
 
     # -- serialization -----------------------------------------------------
 

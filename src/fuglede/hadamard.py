@@ -57,7 +57,7 @@ def verify_butson(H: ButsonMatrix) -> ButsonCheck:
             counts = [0] * q
             for k in range(n):
                 counts[(H.logs[j][k] - H.logs[jp][k]) % q] += 1
-            if not CyclotomicInt.from_counts(q, counts).is_zero():
+            if not CyclotomicInt(q, tuple(counts)).is_zero():
                 return ButsonCheck(False, (j, jp))
     return ButsonCheck(True)
 

@@ -19,25 +19,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInt, reduction_matrix
+from .cyclotomic import CyclotomicInt, vanishing
 from .groups import Element, GroupSpec
 from .tiling import DivisibilityObstruction
 
 Point = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LatticeConfig:
-    dimension: int = 5
-    m: int = 2  # truncation scale M
-    l: Optional[int] = None  # window scale L, density checks only
-    n: Optional[int] = None  # region scale N, documentation only
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1 or self.m < 1:
-            raise ValueError("dimension and M must be positive")
-        if self.l is not None and self.l < 3:
-            raise ValueError(f"window scale L must be >= 3, got {self.l}")
 
 
 @dataclass(frozen=True)
@@ -140,36 +126,27 @@ def build_lambda1(base_spec: Iterable[Element], m_scale: int) -> FrequencySet:
     return FrequencySet(3 * m_scale, nums)
 
 
-def _pair_index(count: int):
-    for i in range(count):
-        for j in range(i + 1, count):
-            yield i, j
-
-
 def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
     """Exact zero/nonzero verdict of the character sum over omega1 for every
     unordered frequency pair, by direct summation.
 
-    Integer-only: exponent matrices are computed with int64 numpy arrays and
-    pushed through the cyclotomic reduction map; no floats anywhere.
+    Integer-only: for each frequency, the exponents against all later
+    frequencies are counted per residue with one bincount (row r in bins
+    [r*denom, (r+1)*denom)) and the counts go through the cyclotomic kernel;
+    no floats anywhere.
     """
     denom = lambda1.denominator
     pts = np.asarray(omega1.points, dtype=np.int64)
     nums = np.asarray(lambda1.numerators, dtype=np.int64)
-    red = np.asarray(reduction_matrix(denom), dtype=np.int64)
-    count = len(nums)
-    verdicts = []
-    for i in range(count):
-        delta = (nums[i + 1 :] - nums[i]) % denom
-        if delta.size == 0:
-            continue
-        exps = (delta @ pts.T) % denom  # (count - i - 1, #points)
-        counts = np.zeros((exps.shape[0], denom), dtype=np.int64)
-        for r in range(denom):
-            counts[:, r] = np.count_nonzero(exps == r, axis=1)
-        rem = counts @ red
-        verdicts.append(np.all(rem == 0, axis=1))
-    return np.concatenate(verdicts) if verdicts else np.zeros(0, dtype=bool)
+    verdicts = [np.zeros(0, dtype=bool)]
+    for i in range(len(nums) - 1):
+        exps = (nums[i + 1 :] - nums[i]) @ pts.T  # (count - i - 1, #points)
+        exps %= denom
+        rows = len(exps)
+        exps += np.arange(0, rows * denom, denom)[:, None]
+        counts = np.bincount(exps.ravel(), minlength=rows * denom)
+        verdicts.append(vanishing(counts.reshape(rows, denom)))
+    return np.concatenate(verdicts)
 
 
 def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
@@ -190,19 +167,16 @@ def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndar
         return cache[dxi]
 
     out = np.zeros(len(nums) * (len(nums) - 1) // 2, dtype=bool)
-    pos = 0
-    for i, j in _pair_index(len(nums)):
-        li = tuple(v % m_scale for v in nums[i])
-        lj = tuple(v % m_scale for v in nums[j])
+    for pos, (ni, nj) in enumerate(itertools.combinations(nums, 2)):
+        li = tuple(v % m_scale for v in ni)
+        lj = tuple(v % m_scale for v in nj)
         if li != lj:
             out[pos] = True
         else:
             dxi = tuple(
-                (vj // m_scale - vi // m_scale) % 3
-                for vi, vj in zip(nums[i], nums[j])
+                (vj // m_scale - vi // m_scale) % 3 for vi, vj in zip(ni, nj)
             )
             out[pos] = base_zero(dxi)
-        pos += 1
     return out
 
 
@@ -221,15 +195,18 @@ def verify_ortho_lattice(
         raise ValueError(f"unknown method {method!r}")
     if bool(verdicts.all()):
         return OrthoResult(True, pairs=len(verdicts))
+    # Pairs are in row order: row i holds (i, i+1), ..., (i, count-1).
     bad = int(np.argmin(verdicts))
-    for pos, (i, j) in enumerate(_pair_index(len(lambda1.numerators))):
-        if pos == bad:
-            return OrthoResult(
-                False,
-                witness=(lambda1.numerators[i], lambda1.numerators[j]),
-                pairs=len(verdicts),
-            )
-    raise AssertionError("unreachable")
+    count = len(lambda1.numerators)
+    i = 0
+    while bad >= count - 1 - i:
+        bad -= count - 1 - i
+        i += 1
+    return OrthoResult(
+        False,
+        witness=(lambda1.numerators[i], lambda1.numerators[i + 1 + bad]),
+        pairs=len(verdicts),
+    )
 
 
 def character_sum_lattice(
@@ -239,7 +216,7 @@ def character_sum_lattice(
     counts = [0] * denom
     for x in omega1.points:
         counts[sum(d * c for d, c in zip(delta, x)) % denom] += 1
-    return CyclotomicInt.from_counts(denom, counts)
+    return CyclotomicInt(denom, tuple(counts))
 
 
 def cell_count_check(omega1: LatticeSet) -> bool:

@@ -8,24 +8,18 @@ as a clique vertex because spectra are translation-invariant.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .groups import EXHAUSTIVE_ORDER_LIMIT, Element, GroupSpec
 from . import tiling
 
-DEFAULT_NODE_BUDGET = 10_000_000
 MAX_SPECTRUM_SIZE = 64
 SCAN_ORDER_LIMIT = 1 << 14
 
 
 class SearchBudgetExceeded(RuntimeError):
     """Search node budget exhausted before a definite verdict."""
-
-
-def node_budget_from_env(default: int = DEFAULT_NODE_BUDGET) -> int:
-    return int(os.environ.get("FUGLEDE_BUDGET", default))
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ def find_spectrum(
         raise ValueError("T must be nonempty")
     if len(T) > MAX_SPECTRUM_SIZE:
         raise ValueError(f"set of size {len(T)} beyond search limit")
-    budget = node_budget if node_budget is not None else node_budget_from_env()
+    budget = tiling.resolve_node_budget(node_budget)
     target = len(T)
     zero = g.identity()
     if target == 1:

@@ -22,6 +22,14 @@ class CoverBudgetExceeded(RuntimeError):
     """Exact-cover node budget exhausted before a definite verdict."""
 
 
+def resolve_node_budget(node_budget: Optional[int]) -> int:
+    """The search node budget: an explicit value wins, then the
+    FUGLEDE_BUDGET environment variable, then the default."""
+    if node_budget is not None:
+        return node_budget
+    return int(os.environ.get("FUGLEDE_BUDGET", DEFAULT_NODE_BUDGET))
+
+
 @dataclass(frozen=True)
 class DivisibilityObstruction:
     set_size: int
@@ -128,12 +136,9 @@ def find_tiling(
         return TilingResult(False, obstruction=obstruction)
     if g.order > COVER_ORDER_LIMIT:
         raise ValueError(f"group of order {g.order} beyond cover search")
-    budget = node_budget
-    if budget is None:
-        budget = int(os.environ.get("FUGLEDE_BUDGET", DEFAULT_NODE_BUDGET))
+    budget = resolve_node_budget(node_budget)
 
     n = g.order
-    t_ranks = sorted(g.rank(x) for x in T)
     elems = [g.unrank(r) for r in range(n)]
     Y = {
         t: sorted(g.rank(g.add(elems[t], x)) for x in T) for t in range(n)

@@ -158,3 +158,36 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
     code, out = run(capsys, "verify", "--matrix", str(path))
     assert code == 1
     assert "not orthogonal" in out
+
+
+@pytest.mark.parametrize(
+    "budget,argv,code,fragment",
+    [
+        ("1", ["scan", "8"], 3, "cover search exceeded 1 nodes"),
+        ("1", ["scan", "4", "--size", "2"], 3, "clique search exceeded 1 nodes"),
+        (None, ["verify", "--group", "4", "--spectrum", "{0,2}"], 2, "--set"),
+        (None, ["density", "--stride", "0"], 2, "--stride: must be >= 1"),
+        (None, ["density", "--m", "0"], 2, "--m: must be >= 1"),
+        (None, ["density", "--l", "0"], 2, "--l: must be >= 1"),
+        (
+            None,
+            "counterexample continuum --m 1 --k-radius 0 --pair-budget 0".split(),
+            2,
+            "--pair-budget: must be >= 1",
+        ),
+        (None, ["counterexample", "continuum", "--k-radius", "-1"], 2, "--k-radius"),
+        (None, ["counterexample", "lattice", "--m", "22"], 2, "root order 3M = 66"),
+        (None, ["counterexample", "continuum", "--m", "22"], 2, "root order 3M = 66"),
+    ],
+)
+def test_failures_exit_cleanly_with_json(
+    capsys, monkeypatch, budget, argv, code, fragment
+):
+    if budget is not None:
+        monkeypatch.setenv("FUGLEDE_BUDGET", budget)
+    got, out = run(capsys, "--json", *argv)
+    assert got == code
+    error = json.loads(out)
+    assert fragment in error["error"]
+    if code == 3:
+        assert error["budget"] == int(budget)

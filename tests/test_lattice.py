@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from fuglede.hadamard import descend, paper_h6, spectrum_from_butson
 from fuglede.lattice import (
     FrequencySet,
-    LatticeConfig,
     build_lambda1,
     build_omega1,
     cell_count_check,
@@ -86,22 +86,31 @@ def test_perturbed_spectrum_invalid_with_witness(z3_5_pair):
     T5, L5 = z3_5_pair
     o1 = build_omega1(T5, 2)
     l1 = build_lambda1(L5, 2)
-    nums = list(l1.numerators)
-    # bump one coordinate by 1/(3M), picking a non-colliding perturbation
-    for i in range(len(nums)):
-        cand = nums[i][:4] + ((nums[i][4] + 1) % 6,)
-        if cand not in nums:
-            nums[i] = cand
-            break
-    bad = FrequencySet(6, tuple(nums))
-    direct = verify_ortho_lattice(o1, bad)
-    assert not direct.valid and direct.witness is not None
-    # the witness really fails by direct summation
-    delta = tuple(
-        (a - b) % 6 for a, b in zip(direct.witness[1], direct.witness[0])
-    )
-    assert not character_sum_lattice(o1, delta, 6).is_zero()
-    assert not verify_ortho_lattice(o1, bad, method="factored").valid
+    nums = l1.numerators
+    # a repeated frequency: the first bad pair (97, 98) opens its row
+    bad_sets = [nums[:98] + nums[97:98] + nums[99:]]
+    for start in (0, 97, 190):
+        perturbed = list(nums)
+        # bump one coordinate by 1/(3M), picking a non-colliding perturbation
+        for i in range(start, len(nums)):
+            cand = nums[i][:4] + ((nums[i][4] + 1) % 6,)
+            if cand not in nums:
+                perturbed[i] = cand
+                break
+        bad_sets.append(tuple(perturbed))
+    for bad_nums in bad_sets:
+        bad = FrequencySet(6, bad_nums)
+        verdicts = pair_verdicts_direct(o1, bad)
+        assert np.array_equal(verdicts, pair_verdicts_factored(o1, bad))
+        # the witness is the first failing pair in pair order, on both routes
+        first = int(np.argmin(verdicts))
+        expected = list(itertools.combinations(bad_nums, 2))[first]
+        for method in ("direct", "factored"):
+            result = verify_ortho_lattice(o1, bad, method=method)
+            assert not result.valid and result.witness == expected
+        # the witness really fails by direct summation
+        delta = tuple((a - b) % 6 for a, b in zip(expected[1], expected[0]))
+        assert not character_sum_lattice(o1, delta, 6).is_zero()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -183,15 +192,6 @@ def test_torus_toy_1d():
     o1 = build_omega1({(0,), (1,)}, 2)
     obs = torus_non_tiling(o1)
     assert obs is not None and (obs.set_size, obs.group_order) == (4, 6)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LatticeConfig(dimension=0)
-    with pytest.raises(ValueError):
-        LatticeConfig(l=2)
-    cfg = LatticeConfig(m=16, l=8)
-    assert cfg.dimension == 5
 
 
 def test_density_report_tolerance_and_target(z3_5_pair):
