@@ -169,6 +169,8 @@ def _first_failure(checks) -> str:
 
 def cmd_scan(args) -> int:
     g = GroupSpec.from_descriptor(args.group)
+    if args.size is not None and args.size > g.order:
+        raise ValueError(f"--size {args.size} exceeds the group order {g.order}")
     records, summary = spectra.fuglede_scan(g, size_filter=args.size)
     if args.json:
         for rec in records:
@@ -343,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scan all subset classes of a small group")
     p.add_argument("group", help="group descriptor: n, p^k, or n1xn2x...")
-    p.add_argument("--size", type=int, default=None, help="restrict subset size")
+    p.add_argument("--size", type=_at_least(1), help="restrict subset size")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="verify a matrix, spectrum, or tiling")

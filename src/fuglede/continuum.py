@@ -60,7 +60,7 @@ class TruncationResult:
 
 
 def build_omega2(omega1: LatticeSet) -> CubeUnion:
-    return CubeUnion(tuple(omega1.points))
+    return CubeUnion(tuple(map(tuple, omega1.points.tolist())))
 
 
 def inner_product_is_zero(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -28,29 +29,22 @@ Point = tuple[int, ...]
 
 @dataclass(frozen=True)
 class LatticeSet:
-    """A finite set of integer vectors, optionally carrying the cell
-    structure (base, M) it was built from."""
+    """The lifted set: the union over cells k in [0,M)^n of 3k + base."""
 
-    points: tuple[Point, ...]
-    base: Optional[tuple[Point, ...]] = None
-    m: Optional[int] = None
+    base: tuple[Point, ...]
+    m: int
 
     @property
     def dimension(self) -> int:
-        return len(self.points[0])
+        return len(self.base[0])
 
-    @property
-    def structured(self) -> bool:
-        return self.base is not None and self.m is not None
-
-    def without_point(self, p: Point) -> LatticeSet:
-        pts = tuple(x for x in self.points if x != p)
-        if len(pts) == len(self.points):
-            raise ValueError(f"{p} not in the set")
-        return LatticeSet(pts)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(p) for p in self.points]
+    @cached_property
+    def points(self) -> np.ndarray:
+        """All #base * M^n points as one read-only (#base * M^n, n) int64
+        array in cell-major order; built on first read and cached."""
+        pts = _lift(np.array(self.base, dtype=np.int64), self.m, 3)
+        pts.flags.writeable = False
+        return pts
 
 
 @dataclass(frozen=True)
@@ -88,42 +82,36 @@ class OrthoResult:
     pairs: int = 0
 
 
-def build_omega1(base: Iterable[Element], m_scale: int) -> LatticeSet:
-    """Union over k in [0,M)^n of 3k + base, inside [0,3M)^n."""
+def _checked_base(base: Iterable[Element], what: str) -> tuple[Point, ...]:
+    """Sorted distinct points of a nonempty subset of {0,1,2}^n."""
     base = tuple(sorted(set(base)))
     if not base:
-        raise ValueError("base set must be nonempty")
-    n = len(base[0])
+        raise ValueError(f"{what} must be nonempty")
     if any(not all(0 <= c <= 2 for c in b) for b in base):
-        raise ValueError("base points must lie in {0,1,2}^n")
-    points = []
-    for k in itertools.product(range(m_scale), repeat=n):
-        for b in base:
-            points.append(tuple(3 * kj + bj for kj, bj in zip(k, b)))
-    points = tuple(sorted(points))
-    assert len(points) == len(base) * m_scale**n
-    return LatticeSet(points, base=base, m=m_scale)
+        raise ValueError(f"{what} coordinates must lie in {{0,1,2}}")
+    return base
+
+
+def _lift(base: np.ndarray, m_scale: int, step: int) -> np.ndarray:
+    """Rows step*k + b for k in [0,M)^n (outer, lexicographic) and b in
+    base (inner)."""
+    n = base.shape[1]
+    cells = np.indices((m_scale,) * n).reshape(n, -1).T
+    return (step * cells[:, None, :] + base).reshape(-1, n)
+
+
+def build_omega1(base: Iterable[Element], m_scale: int) -> LatticeSet:
+    """Union over k in [0,M)^n of 3k + base, inside [0,3M)^n."""
+    return LatticeSet(_checked_base(base, "base set"), m_scale)
 
 
 def build_lambda1(base_spec: Iterable[Element], m_scale: int) -> FrequencySet:
     """Frequencies (l + M*xi)/(3M) mod 1 for l in [0,M)^n, xi in the base
-    spectrum; all share denominator 3M."""
-    base_spec = tuple(sorted(set(base_spec)))
-    if not base_spec:
-        raise ValueError("base spectrum must be nonempty")
-    n = len(base_spec[0])
-    if any(not all(0 <= c <= 2 for c in xi) for xi in base_spec):
-        raise ValueError("base spectrum coordinates must lie in {0,1,2}")
-    nums = []
-    for l in itertools.product(range(m_scale), repeat=n):
-        for xi in base_spec:
-            nums.append(
-                tuple(lj + m_scale * xj for lj, xj in zip(l, xi))
-            )
-    nums = tuple(sorted(nums))
-    if len(set(nums)) != len(base_spec) * m_scale**n:
-        raise ValueError("frequency collision in the lifted spectrum")
-    return FrequencySet(3 * m_scale, nums)
+    spectrum; all share denominator 3M.  Distinct (l, xi) give distinct
+    numerators, since l = v mod M and xi = v // M."""
+    xi = np.array(_checked_base(base_spec, "base spectrum"), dtype=np.int64)
+    nums = _lift(m_scale * xi, m_scale, 1)
+    return FrequencySet(3 * m_scale, tuple(sorted(map(tuple, nums.tolist()))))
 
 
 def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
@@ -136,7 +124,7 @@ def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarra
     no floats anywhere.
     """
     denom = lambda1.denominator
-    pts = np.asarray(omega1.points, dtype=np.int64)
+    pts = omega1.points
     nums = np.asarray(lambda1.numerators, dtype=np.int64)
     verdicts = [np.zeros(0, dtype=bool)]
     for i in range(len(nums) - 1):
@@ -153,8 +141,6 @@ def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndar
     """Same verdicts via the factorization: the geometric sum over the cell
     index vanishes whenever the l parts differ; otherwise the base
     character sum at xi - xi' (order 3) decides."""
-    if not omega1.structured:
-        raise ValueError("factorized path needs a structured lattice set")
     m_scale = omega1.m
     base = omega1.base
     g3 = GroupSpec.power(3, omega1.dimension)
@@ -213,62 +199,49 @@ def character_sum_lattice(
     omega1: LatticeSet, delta: Point, denom: int
 ) -> CyclotomicInt:
     """sum over x in omega1 of omega_denom ** (delta . x), exactly."""
-    counts = [0] * denom
-    for x in omega1.points:
-        counts[sum(d * c for d, c in zip(delta, x)) % denom] += 1
-    return CyclotomicInt(denom, tuple(counts))
+    exps = omega1.points @ np.asarray(delta, dtype=np.int64) % denom
+    return CyclotomicInt(denom, tuple(np.bincount(exps, minlength=denom).tolist()))
 
 
 def cell_count_check(omega1: LatticeSet) -> bool:
     """Every aligned cell 3k + {0,1,2}^n, k in [0,M)^n, must contain exactly
     #base points; counted from the actual point set."""
-    if not omega1.structured:
-        raise ValueError("cell check needs a structured lattice set")
-    per_cell: dict[Point, int] = {}
-    for p in omega1.points:
-        if any(c < 0 or c >= 3 * omega1.m for c in p):
-            return False
-        per_cell[tuple(c // 3 for c in p)] = (
-            per_cell.get(tuple(c // 3 for c in p), 0) + 1
-        )
-    expected = len(omega1.base)
-    n = omega1.dimension
-    if len(per_cell) != omega1.m**n:
+    pts, m = omega1.points, omega1.m
+    if pts.min() < 0 or pts.max() >= 3 * m:
         return False
-    return all(v == expected for v in per_cell.values())
+    cells = np.ravel_multi_index(tuple(pts.T // 3), (m,) * omega1.dimension)
+    per_cell = np.bincount(cells, minlength=m**omega1.dimension)
+    return bool((per_cell == len(omega1.base)).all())
 
 
-def window_count(
-    omega1: LatticeSet, t: Point, x0: Point, window: int
-) -> int:
-    """#((t + omega1) on (x0 + [0,window)^n)), exact.
+def _window_counts(omega1: LatticeSet, corners, window: int) -> np.ndarray:
+    """Exact #(omega1 on (x0 + [0,window)^n)) for every corner x0 in the
+    grid corners[0] x ... x corners[n-1], as an int64 array of that shape.
 
-    For structured sets the count factors per axis and per base point, so
-    large scales stay cheap; otherwise the points are counted directly.
+    Per axis, a (residue x start) table counts the cell indices k in [0,M)
+    with start <= 3k + residue < start + window; a window count is the sum
+    over base points of the product of their per-axis counts.
     """
-    n = omega1.dimension
-    lo = tuple(a - b for a, b in zip(x0, t))
-    if omega1.structured:
-        total = 0
-        for b in omega1.base:
-            prod = 1
-            for j in range(n):
-                prod *= _axis_count(lo[j], lo[j] + window, b[j], omega1.m)
-                if prod == 0:
-                    break
-            total += prod
-        return total
-    return sum(
-        all(lo[j] <= p[j] < lo[j] + window for j in range(n))
-        for p in omega1.points
-    )
+    residue = np.arange(3)[:, None]
+    tables = []
+    for starts in corners:
+        starts = np.asarray(starts, dtype=np.int64)
+        lo = np.clip(-(-(starts - residue) // 3), 0, omega1.m)
+        hi = np.clip(-(-(starts + window - residue) // 3), 0, omega1.m)
+        tables.append(np.maximum(hi - lo, 0))
+    total = 0
+    for b in omega1.base:
+        term = tables[0][b[0]]
+        for table, c in zip(tables[1:], b[1:]):
+            term = np.multiply.outer(term, table[c])
+        total = total + term
+    return total
 
 
-def _axis_count(lo: int, hi: int, residue: int, m_scale: int) -> int:
-    """#{k in [0,M) : lo <= 3k + residue < hi}."""
-    lo_k = max(0, -(-(lo - residue) // 3))
-    hi_k = min(m_scale, -(-(hi - residue) // 3))
-    return max(0, hi_k - lo_k)
+def window_count(omega1: LatticeSet, t: Point, x0: Point, window: int) -> int:
+    """#((t + omega1) on (x0 + [0,window)^n)), exact, from (base, M) alone."""
+    corner = [[a - b] for a, b in zip(x0, t)]
+    return int(_window_counts(omega1, corner, window).sum())
 
 
 @dataclass(frozen=True)
@@ -298,9 +271,8 @@ def density_check(
 ) -> DensityReport:
     """Exhaust windows of side `window` inside the support box [0,3M)^n and
     check every nonzero density against 6/3^n (generally #base/3^n) within
-    12/window; all arithmetic in exact rationals."""
-    if not omega1.structured:
-        raise ValueError("density check needs a structured lattice set")
+    12/window; counts are exact integers, and only the extreme densities
+    become Fractions."""
     if window < 3:
         raise ValueError(f"window must be >= 3, got {window}")
     n = omega1.dimension
@@ -310,52 +282,31 @@ def density_check(
     target = Fraction(len(omega1.base), 3**n)
     tolerance = Fraction(12, window)
     positions = range(0, span - window + 1, stride)
-
-    # Per-axis counts are shared across windows and base points.
-    axis = {
-        (a, c): _axis_count(a, a + window, c, omega1.m)
-        for a in positions
-        for c in (0, 1, 2)
-    }
-    volume = window**n
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    windows = 0
-    nonzero = 0
-    ok = True
-    for x0 in itertools.product(positions, repeat=n):
-        windows += 1
-        f = 0
-        for b in omega1.base:
-            prod = 1
-            for j in range(n):
-                prod *= axis[(x0[j], b[j])]
-                if prod == 0:
-                    break
-            f += prod
-        if f == 0:
-            continue
-        nonzero += 1
-        density = Fraction(f, volume)
-        if lo is None or density < lo:
-            lo = density
-        if hi is None or density > hi:
-            hi = density
-        if abs(density - target) > tolerance:
-            ok = False
-    if lo is None:
-        raise ValueError("no nonzero window found in the support box")
+    # One first-axis coordinate at a time keeps P^(n-1) counts in memory.
+    # Every window of side >= 3 in the box meets each residue class on each
+    # axis, so some window is nonzero and lows is never empty.
+    nonzero, lows, highs = 0, [], []
+    for a in positions:
+        counts = _window_counts(omega1, [[a]] + [positions] * (n - 1), window)
+        hit = counts[counts > 0]
+        if hit.size:
+            nonzero += hit.size
+            lows.append(int(hit.min()))
+            highs.append(int(hit.max()))
+    lo = Fraction(min(lows), window**n)
+    hi = Fraction(max(highs), window**n)
+    # Every nonzero density lies in [lo, hi], so testing both ends suffices.
+    ok = abs(lo - target) <= tolerance and abs(hi - target) <= tolerance
+    windows = len(positions) ** n
     return DensityReport(windows, nonzero, lo, hi, tolerance, target, ok)
 
 
 def torus_non_tiling(omega1: LatticeSet) -> Optional[DivisibilityObstruction]:
     """Divisibility certificate that omega1 cannot tile the torus
     (Z/3MZ)^n; weaker than non-tiling of Z^n, and documented as such."""
-    if not omega1.structured:
-        raise ValueError("torus certificate needs a structured lattice set")
     n = omega1.dimension
     torus_order = (3 * omega1.m) ** n
-    size = len(omega1.points)
+    size = len(omega1.base) * omega1.m**n
     if torus_order % size != 0:
         return DivisibilityObstruction(size, torus_order)
     return None

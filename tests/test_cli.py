@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -178,6 +179,9 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
         (None, ["counterexample", "continuum", "--k-radius", "-1"], 2, "--k-radius"),
         (None, ["counterexample", "lattice", "--m", "22"], 2, "root order 3M = 66"),
         (None, ["counterexample", "continuum", "--m", "22"], 2, "root order 3M = 66"),
+        (None, ["scan", "4", "--size", "0"], 2, "--size: must be >= 1"),
+        (None, ["scan", "4", "--size", "-1"], 2, "--size: must be >= 1"),
+        (None, ["scan", "4", "--size", "9"], 2, "--size 9 exceeds the group order 4"),
     ],
 )
 def test_failures_exit_cleanly_with_json(
@@ -191,3 +195,28 @@ def test_failures_exit_cleanly_with_json(
     assert fragment in error["error"]
     if code == 3:
         assert error["budget"] == int(budget)
+
+
+# SHA-256 of the --json stdout; a refactor must leave these bytes unchanged.
+GOLDEN_STDOUT = {
+    "counterexample z3-5": "9cb6c3d63595103db9fc7c529cb074dbcad1ac2972340cc8429affb736fac0ca",
+    "counterexample lattice --m 2": "294645ceec72e5740790aa27c0919a8504dcdd8d641787a7b50e3afc68016063",
+    "counterexample continuum --m 2 --k-radius 1 --pair-budget 100000": "474574eb15ece6496555108bd48157a6cd511117016828f09084d3d01765d6cd",
+    "density --m 10 --l 8 --stride 4": "1407191453401cef97ccac525fdc86de23e3bb9d7d022b1f59f7c393ba9be11b",
+    "density --m 4 --l 6 --stride 3": "f65316fb421c02b6b086d09e32b770bbc74cbd7a64e8ecd758f2a507b96f334f",
+}
+GOLDEN_EXPORT_M2 = "3b84a355593fa3f82c736b3496728bfc04258dfafe4ba9b4d39d9c50c2e233f1"
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_json_stdout_bytes_are_pinned(capsys, command):
+    code, out = run(capsys, "--json", *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_export_file_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "geometry.json"
+    code, _ = run(capsys, "--json", "export", "--m", "2", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EXPORT_M2

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuglede.hadamard import descend, paper_h6, spectrum_from_butson
 from fuglede.lattice import (
@@ -21,6 +23,16 @@ from fuglede.lattice import (
 from fuglede.spectra import is_spectrum
 
 
+def as_tuples(points):
+    return set(map(tuple, points.tolist()))
+
+
+def count_points(points, lo, window):
+    """#points in lo + [0,window)^n, counted point by point."""
+    lo = np.asarray(lo)
+    return int(np.all((points >= lo) & (points < lo + window), axis=1).sum())
+
+
 @pytest.fixture(scope="module")
 def z3_5_pair():
     g6, T6, L6 = spectrum_from_butson(paper_h6())
@@ -31,7 +43,7 @@ def z3_5_pair():
 def test_build_omega1_m1_is_base(z3_5_pair):
     T5, _ = z3_5_pair
     o1 = build_omega1(T5, 1)
-    assert set(o1.points) == set(T5)
+    assert as_tuples(o1.points) == set(T5)
 
 
 def test_build_omega1_m2_size_and_bounds(z3_5_pair):
@@ -43,7 +55,9 @@ def test_build_omega1_m2_size_and_bounds(z3_5_pair):
 
 def test_build_omega1_singleton_base():
     o1 = build_omega1({(0, 0)}, 3)
-    assert set(o1.points) == {(3 * a, 3 * b) for a in range(3) for b in range(3)}
+    assert as_tuples(o1.points) == {
+        (3 * a, 3 * b) for a in range(3) for b in range(3)
+    }
 
 
 def test_build_lambda1_sizes(z3_5_pair):
@@ -119,14 +133,24 @@ def test_cell_counts(z3_5_pair, m):
     assert cell_count_check(build_omega1(T5, m))
 
 
-def test_cell_count_detects_deletion(z3_5_pair):
+def _moved_out(points):
+    moved = points.copy()
+    moved[0, 0] = 6  # one past the support box [0, 6)^5 at M=2
+    return moved
+
+
+@pytest.mark.parametrize(
+    "corrupt", [lambda p: p[1:], _moved_out], ids=["deleted", "moved-out"]
+)
+def test_cell_count_detects_deletion(z3_5_pair, corrupt):
     T5, _ = z3_5_pair
     o1 = build_omega1(T5, 2)
-    broken = o1.without_point(o1.points[0])
-    import dataclasses
-
-    broken = dataclasses.replace(broken, base=o1.base, m=o1.m)
-    assert not cell_count_check(broken)
+    assert cell_count_check(o1)
+    with pytest.raises(ValueError):
+        o1.points[0, 0] = 1
+    # The check counts the points, not (base, M): corrupt the cached points.
+    vars(o1)["points"] = corrupt(o1.points)
+    assert not cell_count_check(o1)
 
 
 def test_window_counts(z3_5_pair):
@@ -147,14 +171,62 @@ def test_window_counts(z3_5_pair):
 def test_window_count_structured_matches_brute_force(z3_5_pair):
     T5, _ = z3_5_pair
     o1 = build_omega1(T5, 2)
-    import dataclasses
-
-    plain = dataclasses.replace(o1, base=None, m=None)
     for x0 in [(0,) * 5, (1, 0, 2, 3, 1), (-2, 0, 0, 5, 4)]:
         for window in (3, 4, 6):
-            assert window_count(o1, (0,) * 5, x0, window) == window_count(
-                plain, (0,) * 5, x0, window
+            assert window_count(o1, (0,) * 5, x0, window) == count_points(
+                o1.points, x0, window
             )
+
+
+@st.composite
+def small_lattice_sets(draw):
+    n = draw(st.integers(1, 3))
+    cube = list(itertools.product(range(3), repeat=n))
+    base = draw(st.lists(st.sampled_from(cube), min_size=1, unique=True))
+    return build_omega1(base, draw(st.integers(1, 4)))
+
+
+@settings(deadline=None)
+@given(small_lattice_sets(), st.data())
+def test_window_count_matches_point_count(o1, data):
+    n = o1.dimension
+    span = 3 * o1.m
+    t = tuple(data.draw(st.integers(-span, span)) for _ in range(n))
+    # corners may lie outside the support box [0, 3M)^n
+    x0 = tuple(data.draw(st.integers(-4, span + 4)) for _ in range(n))
+    window = data.draw(st.integers(-1, span + 2))  # empty windows count 0
+    lo = tuple(a - b for a, b in zip(x0, t))
+    assert window_count(o1, t, x0, window) == count_points(o1.points, lo, window)
+
+
+@settings(deadline=None)
+@given(small_lattice_sets(), st.data())
+def test_density_check_matches_brute_force(o1, data):
+    n = o1.dimension
+    span = 3 * o1.m
+    window = data.draw(st.integers(3, span))
+    stride = data.draw(st.integers(1, 3))
+    positions = range(0, span - window + 1, stride)
+    counts = [
+        count_points(o1.points, x0, window)
+        for x0 in itertools.product(positions, repeat=n)
+    ]
+    densities = [Fraction(f, window**n) for f in counts if f]
+    report = density_check(o1, window, stride)
+    target = Fraction(len(o1.base), 3**n)
+    tolerance = Fraction(12, window)
+    assert report.windows == len(counts)
+    assert report.nonzero_windows == len(densities)
+    assert report.min_density == min(densities)
+    assert report.max_density == max(densities)
+    assert report.ok == all(abs(d - target) <= tolerance for d in densities)
+
+
+def test_density_check_never_expands_points(z3_5_pair):
+    T5, _ = z3_5_pair
+    o1 = build_omega1(T5, 16)
+    assert density_check(o1, 8, stride=4).ok
+    assert "points" not in vars(o1)
 
 
 def test_aligned_windows_exact_density(z3_5_pair):
