@@ -15,16 +15,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .cyclotomic import CyclotomicInt, vanishing
+from .cyclotomic import MAX_ORDER, CyclotomicInt, vanishing
 from .groups import Element, GroupSpec
 from .tiling import DivisibilityObstruction
 
 Point = tuple[int, ...]
+_BATCH = 1 << 18  # exponent entries per kernel call in pair_verdicts_direct
 
 
 @dataclass(frozen=True)
@@ -118,23 +119,32 @@ def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarra
     """Exact zero/nonzero verdict of the character sum over omega1 for every
     unordered frequency pair, by direct summation.
 
-    Integer-only: for each frequency, the exponents against all later
-    frequencies are counted per residue with one bincount (row r in bins
-    [r*denom, (r+1)*denom)) and the counts go through the cyclotomic kernel;
-    no floats anywhere.
+    A verdict depends only on d = (nu_j - nu_i) mod denom, so each distinct d
+    is summed once over all points: one bincount of d . x mod denom per chunk
+    (row r in bins [r*denom, (r+1)*denom)), then the integer cyclotomic kernel.
     """
-    denom = lambda1.denominator
+    denom, n, count = lambda1.denominator, omega1.dimension, len(lambda1.numerators)
+    if not 1 <= denom <= MAX_ORDER:  # before the denom^n table is allocated
+        raise ValueError(f"unsupported root order {denom}")
+    nums, shape = np.asarray(lambda1.numerators, dtype=np.int64), (denom,) * n
+    codes = np.empty(count * (count - 1) // 2, np.min_scalar_type(denom**n))
+    for i in range(count - 1):
+        row = np.ravel_multi_index(((nums[i + 1 :] - nums[i]) % denom).T, shape)
+        start = i * (2 * count - i - 1) // 2  # rows 0..i-1 hold this many pairs
+        codes[start : start + len(row)] = row
+    table = np.zeros(denom**n, dtype=bool)
+    table[codes] = True
+    distinct = np.flatnonzero(table)
     pts = omega1.points
-    nums = np.asarray(lambda1.numerators, dtype=np.int64)
-    verdicts = [np.zeros(0, dtype=bool)]
-    for i in range(len(nums) - 1):
-        exps = (nums[i + 1 :] - nums[i]) @ pts.T  # (count - i - 1, #points)
+    step = max(1, _BATCH // len(pts))  # distinct differences per chunk
+    for lo in range(0, len(distinct), step):
+        chunk = distinct[lo : lo + step]
+        exps = np.column_stack(np.unravel_index(chunk, shape)) @ pts.T
         exps %= denom
-        rows = len(exps)
-        exps += np.arange(0, rows * denom, denom)[:, None]
-        counts = np.bincount(exps.ravel(), minlength=rows * denom)
-        verdicts.append(vanishing(counts.reshape(rows, denom)))
-    return np.concatenate(verdicts)
+        exps += np.arange(0, len(chunk) * denom, denom)[:, None]
+        counts = np.bincount(exps.ravel(), minlength=len(chunk) * denom)
+        table[chunk] = vanishing(counts.reshape(len(chunk), denom))
+    return table[codes]
 
 
 def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
@@ -204,12 +214,12 @@ def character_sum_lattice(
 
 
 def cell_count_check(omega1: LatticeSet) -> bool:
-    """Every aligned cell 3k + {0,1,2}^n, k in [0,M)^n, must contain exactly
-    #base points; counted from the actual point set."""
+    """Every aligned cell 3k + {0,1,2}^n, k in [0,M)^n, must hold exactly
+    #base points, counted from the points one axis at a time (no full copy)."""
     pts, m = omega1.points, omega1.m
     if pts.min() < 0 or pts.max() >= 3 * m:
         return False
-    cells = np.ravel_multi_index(tuple(pts.T // 3), (m,) * omega1.dimension)
+    cells = reduce(lambda index, column: index * m + column // 3, pts.T, 0)
     per_cell = np.bincount(cells, minlength=m**omega1.dimension)
     return bool((per_cell == len(omega1.base)).all())
 

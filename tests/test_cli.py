@@ -201,6 +201,7 @@ def test_failures_exit_cleanly_with_json(
 GOLDEN_STDOUT = {
     "counterexample z3-5": "9cb6c3d63595103db9fc7c529cb074dbcad1ac2972340cc8429affb736fac0ca",
     "counterexample lattice --m 2": "294645ceec72e5740790aa27c0919a8504dcdd8d641787a7b50e3afc68016063",
+    "counterexample lattice --m 3": "2d92fa85249275d813ebca9b3bddb327a0029079004301650c664c9d13f47f92",
     "counterexample continuum --m 2 --k-radius 1 --pair-budget 100000": "474574eb15ece6496555108bd48157a6cd511117016828f09084d3d01765d6cd",
     "density --m 10 --l 8 --stride 4": "1407191453401cef97ccac525fdc86de23e3bb9d7d022b1f59f7c393ba9be11b",
     "density --m 4 --l 6 --stride 3": "f65316fb421c02b6b086d09e32b770bbc74cbd7a64e8ecd758f2a507b96f334f",

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuglede import lattice
+from fuglede.cyclotomic import vanishing
 from fuglede.hadamard import descend, paper_h6, spectrum_from_butson
 from fuglede.lattice import (
     FrequencySet,
@@ -125,6 +127,90 @@ def test_perturbed_spectrum_invalid_with_witness(z3_5_pair):
         # the witness really fails by direct summation
         delta = tuple((a - b) % 6 for a, b in zip(expected[1], expected[0]))
         assert not character_sum_lattice(o1, delta, 6).is_zero()
+
+
+def test_direct_rejects_order_above_max_before_allocating(z3_5_pair):
+    T5, _ = z3_5_pair
+    o1 = build_omega1(T5, 1)
+    # 65^5 booleans would be about 1.16 GB; the order is refused first.
+    bad = FrequencySet(65, ((0,) * 5, (64, 1, 2, 3, 4)))
+    with pytest.raises(ValueError, match="unsupported root order 65"):
+        pair_verdicts_direct(o1, bad)
+    assert "points" not in vars(o1)
+
+
+def test_direct_sums_once_per_distinct_difference(z3_5_pair, monkeypatch):
+    T5, L5 = z3_5_pair
+    o1 = build_omega1(T5, 2)
+    l1 = build_lambda1(L5, 2)
+    rows = []
+
+    def counting_vanishing(counts):
+        rows.append(len(counts))
+        return vanishing(counts)
+
+    monkeypatch.setattr(lattice, "vanishing", counting_vanishing)
+    verdicts = pair_verdicts_direct(o1, l1)
+    distinct = {
+        tuple((b - a) % 6 for a, b in zip(ni, nj))
+        for ni, nj in itertools.combinations(l1.numerators, 2)
+    }
+    assert len(verdicts) == 18336 and verdicts.all()
+    assert sum(rows) == len(distinct) < 18336
+
+
+@st.composite
+def perturbed_frequency_sets(draw):
+    """A lifted set and a frequency set from build_lambda1, with some
+    numerators shifted, one frequency repeated, or truncated to 0-2.  Half
+    the bases are products of per-axis sets, whose character sums vanish
+    often (every nonzero frequency on an axis holding all of {0,1,2})."""
+    n = draw(st.integers(1, 3))
+    cube = list(itertools.product(range(3), repeat=n))
+    axis = st.lists(st.sampled_from(range(3)), min_size=1, unique=True)
+    base = draw(
+        st.one_of(
+            st.lists(st.sampled_from(cube), min_size=1, unique=True),
+            st.tuples(*[axis] * n).map(lambda f: list(itertools.product(*f))),
+        )
+    )
+    spec = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=4, unique=True))
+    m = draw(st.integers(1, 2))
+    l1 = build_lambda1(spec, m)
+    denom, nums = l1.denominator, list(l1.numerators)
+    kind = draw(st.sampled_from(["shifted", "repeated", "truncated"]))
+    if kind == "shifted":
+        shift = [draw(st.integers(0, denom - 1)) for _ in range(n)]
+        for i in draw(st.lists(st.integers(0, len(nums) - 1), unique=True)):
+            nums[i] = tuple((a + s) % denom for a, s in zip(nums[i], shift))
+    elif kind == "repeated":
+        copy = nums[draw(st.integers(0, len(nums) - 1))]
+        nums.insert(draw(st.integers(0, len(nums))), copy)
+    else:
+        nums = nums[: draw(st.integers(0, 2))]
+    return build_omega1(base, m), FrequencySet(denom, tuple(nums))
+
+
+@settings(deadline=None)
+@given(perturbed_frequency_sets())
+def test_direct_matches_per_pair_sums_and_factored(sets):
+    o1, l1 = sets
+    reference = np.array(
+        [
+            character_sum_lattice(
+                o1, tuple(np.subtract(nj, ni)), l1.denominator
+            ).is_zero()
+            for ni, nj in itertools.combinations(l1.numerators, 2)
+        ],
+        dtype=bool,
+    )
+    direct = pair_verdicts_direct(o1, l1)
+    assert direct.dtype == bool
+    assert np.array_equal(direct, reference)
+    assert np.array_equal(direct, pair_verdicts_factored(o1, l1))
+    assert verify_ortho_lattice(o1, l1) == verify_ortho_lattice(
+        o1, l1, method="factored"
+    )
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
