@@ -2,9 +2,9 @@
 groups, verify user-supplied certificates, export geometry.
 
 Exit status: 0 when every verification in the invoked pipeline passes,
-1 when one fails, 2 on bad input, 3 when a search node budget runs out.
-With --json the output is deterministic machine-readable JSON on every
-path, including failures.
+1 when one fails, 2 on bad input or out of memory, 3 when a search node
+budget runs out.  With --json the output is deterministic machine-readable
+JSON on every path, including failures.
 """
 
 from __future__ import annotations
@@ -247,18 +247,8 @@ def cmd_verify(args) -> int:
         return 0 if ver.valid else 1
     if args.complement is not None:
         sigma = _load_set(g, args.complement)
-        ok = tiling.verify_tiling(g, T, sigma)
-        witness = None
-        if not ok:
-            counts = {}
-            for t in sigma:
-                for x in T:
-                    y = g.add(x, t)
-                    counts[y] = counts.get(y, 0) + 1
-            bad = sorted(
-                (y for y, c in counts.items() if c != 1), key=g.rank
-            ) or sorted(set(g.elements()) - set(counts), key=g.rank)
-            witness = bad[0]
+        witness = tiling.cover_defect(g, T, sigma)
+        ok = witness is None
         payload = {
             "kind": "tiling",
             "valid": ok,
@@ -378,7 +368,7 @@ def main(argv=None) -> int:
     except (spectra.SearchBudgetExceeded, tiling.CoverBudgetExceeded) as exc:
         code = 3
         error = {"error": str(exc), "budget": tiling.resolve_node_budget(None)}
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         code, error = 2, {"error": str(exc)}
     # Read from argv, not args, so usage errors are JSON under --json too.
     if "--json" in argv:

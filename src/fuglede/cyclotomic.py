@@ -4,7 +4,7 @@ A value is stored as a length-m integer coefficient vector c with
 value = sum_k c[k] * omega_m^k, omega_m = e^{2*pi*i/m}.  Zero testing
 reduces the coefficient polynomial modulo the m-th cyclotomic polynomial,
 so every vanishing-sum claim is decided with integers only, by the one
-batched kernel `vanishing`.
+batched kernel `vanishing`, fed whole batches of sums by `vanishing_sums`.
 """
 
 from __future__ import annotations
@@ -12,10 +12,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
 MAX_ORDER = 64
+_BATCH = 1 << 18  # exponent entries per kernel call in vanishing_sums
 
 
 def _divisors(m: int) -> list[int]:
@@ -59,18 +61,14 @@ def reduction_matrix(m: int) -> np.ndarray:
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     rows = []
-    # x^k mod Phi_m by repeated shift-and-reduce.
-    cur = [0] * deg
-    for k in range(m):
-        if k == 0:
-            cur = [1] + [0] * (deg - 1)
-        else:
-            lead = cur[-1]
-            cur = [0] + cur[:-1]
-            if lead:
-                for i in range(deg):
-                    cur[i] -= lead * phi[i]
+    cur = [1] + [0] * (deg - 1)  # x^k mod Phi_m by repeated shift-and-reduce
+    for _ in range(m):
         rows.append(cur)
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        if lead:
+            for i in range(deg):
+                cur[i] -= lead * phi[i]
     matrix = np.array(rows, dtype=np.int64)
     matrix.flags.writeable = False
     return matrix
@@ -88,6 +86,31 @@ def vanishing(counts) -> np.ndarray:
     if not 1 <= m <= MAX_ORDER:
         raise ValueError(f"unsupported root order {m}")
     return ~counts.dot(reduction_matrix(m)).any(axis=-1)
+
+
+def vanishing_sums(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray:
+    """Per row d of deltas, whether sum over rows x of the int64 points of
+    omega_m ** (d . x) vanishes.  Chunks of deltas are widened to int64 and
+    counted by one offset bincount (row r in bins [r*m, (r+1)*m))."""
+    out = np.empty(len(deltas), dtype=bool)
+    step = max(1, _BATCH // max(1, len(points)))  # deltas per chunk
+    for lo in range(0, len(deltas), step):
+        chunk = np.asarray(deltas[lo : lo + step], dtype=np.int64)
+        exps = chunk @ points.T
+        exps %= m
+        exps += np.arange(0, len(chunk) * m, m)[:, None]
+        counts = np.bincount(exps.ravel(), minlength=len(chunk) * m)
+        out[lo : lo + step] = vanishing(counts.reshape(len(chunk), m))
+    return out
+
+
+def first_nonvanishing_pair(points, rows, m: int) -> Optional[tuple[int, int]]:
+    """The first pair i < j, in the order (0,1), (0,2), ..., (1,2), ..., whose
+    sum over points at rows[j] - rows[i] does not vanish; None if none."""
+    i, j = np.triu_indices(len(rows), 1)
+    rows = np.asarray(rows, dtype=np.int64)
+    bad = np.flatnonzero(~vanishing_sums(points, rows[j] - rows[i], m))
+    return (int(i[bad[0]]), int(j[bad[0]])) if bad.size else None
 
 
 @dataclass(frozen=True)

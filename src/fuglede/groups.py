@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .cyclotomic import CyclotomicInt
 
 Element = tuple[int, ...]
@@ -140,6 +142,14 @@ class GroupSpec:
             raise ValueError("element length does not match the group")
         m = self.exponent
         return sum(a * b * w for a, b, w in zip(xi, x, self._weights)) % m
+
+    def pairing_points(self, T: Iterable[Element]) -> np.ndarray:
+        """Rows (x_j mod n_j) * (m / n_j) for x in T, one int64 row per
+        element, so that pairing(d, x) = d . row mod m for any integer d."""
+        rows = np.array(list(T), dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.ndim:
+            raise ValueError("element length does not match the group")
+        return rows % self.moduli * self._weights
 
     def character_sum(self, T: Iterable[Element], d: Element) -> CyclotomicInt:
         """sum over x in T of omega_m ** pairing(d, x), exactly."""

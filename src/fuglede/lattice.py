@@ -20,12 +20,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cyclotomic import MAX_ORDER, CyclotomicInt, vanishing
-from .groups import Element, GroupSpec
+from .cyclotomic import MAX_ORDER, CyclotomicInt, vanishing_sums
+from .groups import GroupSpec
+from .spectra import fourier_zero_set
 from .tiling import DivisibilityObstruction
 
 Point = tuple[int, ...]
-_BATCH = 1 << 18  # exponent entries per kernel call in pair_verdicts_direct
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,7 @@ def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarra
     unordered frequency pair, by direct summation.
 
     A verdict depends only on d = (nu_j - nu_i) mod denom, so each distinct d
-    is summed once over all points: one bincount of d . x mod denom per chunk
-    (row r in bins [r*denom, (r+1)*denom)), then the integer cyclotomic kernel.
+    is summed once over all points by the batched kernel `vanishing_sums`.
     """
     denom, n, count = lambda1.denominator, omega1.dimension, len(lambda1.numerators)
     if not 1 <= denom <= MAX_ORDER:  # before the denom^n table is allocated
@@ -134,46 +133,26 @@ def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarra
         codes[start : start + len(row)] = row
     table = np.zeros(denom**n, dtype=bool)
     table[codes] = True
-    distinct = np.flatnonzero(table)
-    pts = omega1.points
-    step = max(1, _BATCH // len(pts))  # distinct differences per chunk
-    for lo in range(0, len(distinct), step):
-        chunk = distinct[lo : lo + step]
-        exps = np.column_stack(np.unravel_index(chunk, shape)) @ pts.T
-        exps %= denom
-        exps += np.arange(0, len(chunk) * denom, denom)[:, None]
-        counts = np.bincount(exps.ravel(), minlength=len(chunk) * denom)
-        table[chunk] = vanishing(counts.reshape(len(chunk), denom))
+    # Distinct differences as small-int rows in code order, the order of table[table].
+    distinct = np.argwhere(table.reshape(shape)).astype(np.min_scalar_type(denom))
+    table[table] = vanishing_sums(omega1.points, distinct, denom)
     return table[codes]
 
 
 def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
     """Same verdicts via the factorization: the geometric sum over the cell
-    index vanishes whenever the l parts differ; otherwise the base
-    character sum at xi - xi' (order 3) decides."""
+    index vanishes whenever the l parts differ; otherwise xi - xi' decides,
+    by membership in the Fourier zero set of the base in Z_3^n."""
     m_scale = omega1.m
-    base = omega1.base
-    g3 = GroupSpec.power(3, omega1.dimension)
-    nums = lambda1.numerators
-    cache: dict[Element, bool] = {}
-
-    def base_zero(dxi: Element) -> bool:
-        if dxi not in cache:
-            cache[dxi] = g3.character_sum(base, dxi).is_zero()
-        return cache[dxi]
-
-    out = np.zeros(len(nums) * (len(nums) - 1) // 2, dtype=bool)
-    for pos, (ni, nj) in enumerate(itertools.combinations(nums, 2)):
-        li = tuple(v % m_scale for v in ni)
-        lj = tuple(v % m_scale for v in nj)
-        if li != lj:
-            out[pos] = True
+    zero_set = fourier_zero_set(GroupSpec.power(3, omega1.dimension), omega1.base)
+    out = []
+    for ni, nj in itertools.combinations(lambda1.numerators, 2):
+        if any((vj - vi) % m_scale for vi, vj in zip(ni, nj)):  # l parts differ
+            out.append(True)
         else:
-            dxi = tuple(
-                (vj // m_scale - vi // m_scale) % 3 for vi, vj in zip(ni, nj)
-            )
-            out[pos] = base_zero(dxi)
-    return out
+            dxi = tuple((vj // m_scale - vi // m_scale) % 3 for vi, vj in zip(ni, nj))
+            out.append(dxi in zero_set)
+    return np.array(out, dtype=bool)
 
 
 def verify_ortho_lattice(
@@ -191,18 +170,10 @@ def verify_ortho_lattice(
         raise ValueError(f"unknown method {method!r}")
     if bool(verdicts.all()):
         return OrthoResult(True, pairs=len(verdicts))
-    # Pairs are in row order: row i holds (i, i+1), ..., (i, count-1).
-    bad = int(np.argmin(verdicts))
-    count = len(lambda1.numerators)
-    i = 0
-    while bad >= count - 1 - i:
-        bad -= count - 1 - i
-        i += 1
-    return OrthoResult(
-        False,
-        witness=(lambda1.numerators[i], lambda1.numerators[i + 1 + bad]),
-        pairs=len(verdicts),
-    )
+    # Verdicts are in itertools.combinations order: (0,1), (0,2), ..., (1,2), ...
+    pairs = itertools.combinations(lambda1.numerators, 2)
+    witness = next(itertools.islice(pairs, int(np.argmin(verdicts)), None))
+    return OrthoResult(False, witness=witness, pairs=len(verdicts))
 
 
 def character_sum_lattice(

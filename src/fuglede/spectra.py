@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
+from .cyclotomic import first_nonvanishing_pair, vanishing_sums
 from .groups import EXHAUSTIVE_ORDER_LIMIT, Element, GroupSpec
 from . import tiling
 
@@ -43,12 +46,10 @@ def fourier_zero_set(g: GroupSpec, T: Iterable[Element]) -> frozenset[Element]:
         raise ValueError("empty set has no Fourier zero set")
     if g.order > EXHAUSTIVE_ORDER_LIMIT:
         raise ValueError(f"group of order {g.order} too large for Z(T)")
-    zero = g.identity()
-    out = set()
-    for d in g.elements():
-        if d != zero and g.character_sum(T, d).is_zero():
-            out.add(d)
-    return frozenset(out)
+    elems = np.indices(g.moduli).reshape(g.ndim, -1).T
+    # The sum at d = 0 is #T, so the identity never lands in Z(T).
+    zero = vanishing_sums(g.pairing_points(T), elems, g.exponent)
+    return frozenset(map(tuple, elems[zero].tolist()))
 
 
 def is_spectrum(
@@ -63,14 +64,11 @@ def is_spectrum(
     if len(L) != len(T):
         return SpectrumVerification(False, None, "cardinality mismatch")
     freqs = sorted(L, key=g.rank)
-    for i in range(len(freqs)):
-        for j in range(i + 1, len(freqs)):
-            d = g.sub(freqs[j], freqs[i])
-            if not g.character_sum(T, d).is_zero():
-                return SpectrumVerification(
-                    False, (freqs[i], freqs[j]), "non-orthogonal pair"
-                )
-    return SpectrumVerification(True)
+    bad = first_nonvanishing_pair(g.pairing_points(T), freqs, g.exponent)
+    if bad is None:
+        return SpectrumVerification(True)
+    witness = (freqs[bad[0]], freqs[bad[1]])
+    return SpectrumVerification(False, witness, "non-orthogonal pair")
 
 
 def find_spectrum(

@@ -61,16 +61,26 @@ def divisibility_check(
     return None
 
 
-def verify_tiling(
+def cover_defect(
     g: GroupSpec, T: Iterable[Element], sigma: Iterable[Element]
-) -> bool:
-    """True iff the translates {t + T : t in sigma} cover G exactly once."""
+) -> Optional[Element]:
+    """The lowest-rank element that the translates {t + T : t in sigma} cover
+    twice or more, else the lowest-rank one they miss; None if neither."""
     T = frozenset(T)
     covered = [0] * g.order
     for t in frozenset(sigma):
         for x in T:
             covered[g.rank(g.add(x, t))] += 1
-    return all(c == 1 for c in covered)
+    # Over-covered elements first, then uncovered ones, each by rank.
+    rank = min(range(g.order), key=lambda r: (covered[r] < 2, covered[r] > 0, r))
+    return None if covered[rank] == 1 else g.unrank(rank)
+
+
+def verify_tiling(
+    g: GroupSpec, T: Iterable[Element], sigma: Iterable[Element]
+) -> bool:
+    """True iff the translates {t + T : t in sigma} cover G exactly once."""
+    return cover_defect(g, T, sigma) is None
 
 
 def _solve_cover(

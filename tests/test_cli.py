@@ -149,6 +149,69 @@ def test_error_path_json(capsys):
     assert "error" in json.loads(out)
 
 
+def test_corrupted_matrix_witness_bytes_are_pinned(capsys, tmp_path):
+    from fuglede.hadamard import paper_h12
+
+    h = paper_h12().to_json()
+    h["logs"][0][0] ^= 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(h))
+    code, out = run(capsys, "--json", "verify", "--matrix", str(path))
+    assert code == 1
+    assert json.loads(out)["failing_rows"] == [0, 1]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a0ac5e0a7e85f98eed72602c2350215c8e7a44cf84a31aa122aa5b23688d818a"
+    )
+
+
+def test_spectrum_witness_bytes_are_pinned(capsys):
+    argv = "verify --group 4 --set {0,1,2} --spectrum {0,1,2}".split()
+    code, out = run(capsys, "--json", *argv)
+    assert code == 1
+    assert json.loads(out)["witness"] == [[0], [1]]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9ddd890499d1500d767821f524b85369612c412c0122819296ff504a57278bb4"
+    )
+
+
+@pytest.mark.parametrize(
+    "group,complement,witness",
+    [("6", "{2,3}", [3]), ("4", "{0}", [2]), ("4", "{0,2}", None)],
+)
+def test_verify_tiling_witness(capsys, group, complement, witness):
+    argv = ["verify", "--group", group, "--set", "{0,1}", "--complement", complement]
+    code, out = run(capsys, "--json", *argv)
+    assert code == (0 if witness is None else 1)
+    assert json.loads(out)["witness"] == witness
+
+
+@pytest.mark.parametrize(
+    "stage,argv",
+    [
+        ("pair_verdicts_direct", ["counterexample", "lattice", "--m", "1"]),
+        ("_lift", ["export", "--m", "1", "--out", "unused.json"]),
+    ],
+)
+def test_out_of_memory_is_bad_input(capsys, monkeypatch, tmp_path, stage, argv):
+    """A stage that cannot allocate its arrays exits 2, not 1 (a failed
+    verification); the patched stage raises before anything is allocated."""
+    from fuglede import lattice
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.0 GiB for an array")
+
+    monkeypatch.setattr(lattice, stage, out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "--json", *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": "Unable to allocate 72.0 GiB for an array"}
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: Unable to allocate 72.0 GiB for an array\n"
+    assert not (tmp_path / "unused.json").exists()
+
+
 def test_corrupted_matrix_fails(capsys, tmp_path):
     from fuglede.hadamard import paper_h12
 
@@ -202,6 +265,10 @@ GOLDEN_STDOUT = {
     "counterexample z3-5": "9cb6c3d63595103db9fc7c529cb074dbcad1ac2972340cc8429affb736fac0ca",
     "counterexample lattice --m 2": "294645ceec72e5740790aa27c0919a8504dcdd8d641787a7b50e3afc68016063",
     "counterexample lattice --m 3": "2d92fa85249275d813ebca9b3bddb327a0029079004301650c664c9d13f47f92",
+    "counterexample z2-12": "2d3a318044205396c833894816938fb356ec8cf54daad37ab471237c0cdaa38e",
+    "counterexample z2-11": "e7c260f9d2b5af4b4de8d5d9e2d4b22fc76f49f6c965ff775f8682f9db8c1c11",
+    "scan 12": "016e424036f29cb52da5afb2f37ccd1dd9340ba41866ba7f657a3e7c610f0c44",
+    "verify --matrix h12": "5fa5fd4b747f91d8a4bcbd5918cf05442dc804d79b1d5257e7fdd93df4127f58",
     "counterexample continuum --m 2 --k-radius 1 --pair-budget 100000": "474574eb15ece6496555108bd48157a6cd511117016828f09084d3d01765d6cd",
     "density --m 10 --l 8 --stride 4": "1407191453401cef97ccac525fdc86de23e3bb9d7d022b1f59f7c393ba9be11b",
     "density --m 4 --l 6 --stride 3": "f65316fb421c02b6b086d09e32b770bbc74cbd7a64e8ecd758f2a507b96f334f",

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fuglede.groups import GroupSpec, element_set_from_json, element_set_to_json
@@ -43,6 +44,20 @@ def test_pairing_symmetric_and_bilinear():
         a, b, c = (g.unrank(rng.randrange(g.order)) for _ in range(3))
         assert g.pairing(a, b) == g.pairing(b, a)
         assert g.pairing(g.add(a, b), c) == (g.pairing(a, c) + g.pairing(b, c)) % m
+
+
+def test_pairing_points_match_pairing():
+    """d . row mod m is the pairing, also for unreduced coordinates whose
+    int64 products would wrap before reduction."""
+    g = GroupSpec((4, 6))
+    T = [(1, 5), (3, 2), (2**62 + 1, -7)]
+    rows = g.pairing_points(T)
+    assert rows.dtype == np.int64 and rows.shape == (3, 2)
+    for d in g.elements():
+        got = [int(np.dot(d, row)) % g.exponent for row in rows]
+        assert got == [g.pairing(d, x) for x in T]
+    with pytest.raises(ValueError):
+        g.pairing_points([(1,), (2,)])
 
 
 @pytest.mark.parametrize(

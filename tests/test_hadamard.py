@@ -1,9 +1,14 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fuglede.cyclotomic import CyclotomicInt
 from fuglede.groups import GroupSpec
 from fuglede.hadamard import (
+    ButsonCheck,
     ButsonMatrix,
     descend,
     pad_dimension,
@@ -150,3 +155,39 @@ def test_pad_identity_and_singleton():
 def test_matrix_json_roundtrip():
     h = paper_h6()
     assert ButsonMatrix.from_json(h.to_json()) == h
+
+
+@st.composite
+def butson_candidates(draw):
+    """Random q <= 6, size <= 6 matrices; half are the Fourier matrix
+    j*k mod q with rows and columns permuted and one entry possibly
+    changed, so orthogonal rows and late witnesses both occur."""
+    q = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        rows = [[j * k % q for k in range(q)] for j in range(q)]
+        rows = draw(st.permutations(rows))
+        cols = draw(st.permutations(range(q)))
+        rows = [[row[c] for c in cols] for row in rows]
+        if draw(st.booleans()):
+            j, k = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+            rows[j][k] += draw(st.integers(1, q - 1))
+        return ButsonMatrix(q, tuple(map(tuple, rows)))
+    size = draw(st.integers(0, 6))
+    entries = st.lists(st.integers(0, q - 1), min_size=size, max_size=size)
+    rows = draw(st.lists(entries, min_size=size, max_size=size))
+    return ButsonMatrix(q, tuple(map(tuple, rows)))
+
+
+@given(butson_candidates())
+def test_verify_butson_matches_per_pair_reference(H):
+    expected = ButsonCheck(True)
+    for j, jp in itertools.combinations(range(H.size), 2):
+        counts = [0] * H.q
+        for a, b in zip(H.logs[j], H.logs[jp]):
+            counts[(a - b) % H.q] += 1
+        if not CyclotomicInt(H.q, tuple(counts)).is_zero():
+            expected = ButsonCheck(False, (j, jp))
+            break
+    check = verify_butson(H)
+    assert check == expected
+    assert all(type(v) is int for v in check.failing_pair or ())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuglede import lattice
+from fuglede import cyclotomic
 from fuglede.cyclotomic import vanishing
 from fuglede.hadamard import descend, paper_h6, spectrum_from_butson
 from fuglede.lattice import (
@@ -149,7 +149,7 @@ def test_direct_sums_once_per_distinct_difference(z3_5_pair, monkeypatch):
         rows.append(len(counts))
         return vanishing(counts)
 
-    monkeypatch.setattr(lattice, "vanishing", counting_vanishing)
+    monkeypatch.setattr(cyclotomic, "vanishing", counting_vanishing)
     verdicts = pair_verdicts_direct(o1, l1)
     distinct = {
         tuple((b - a) % 6 for a, b in zip(ni, nj))

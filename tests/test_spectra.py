@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fuglede.groups import GroupSpec
 from fuglede.hadamard import descend, paper_h6, paper_h12, spectrum_from_butson
@@ -180,3 +183,69 @@ def test_scan_record_json():
     for rec in records:
         obj = rec.to_json()
         assert set(obj) >= {"set", "spectral", "tiles"}
+
+
+def outcome(call):
+    """The value of call(), or the type and message of the ValueError it
+    raises (a group exponent above the kernel's root order)."""
+    try:
+        return call()
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def zero_set_reference(g, T):
+    zero = g.identity()
+    return frozenset(
+        d for d in g.elements() if d != zero and g.character_sum(T, d).is_zero()
+    )
+
+
+def spectrum_reference(g, T, L):
+    """Validity and first bad pair of a nested rank-order loop."""
+    for a, b in itertools.combinations(sorted(L, key=g.rank), 2):
+        if not g.character_sum(T, g.sub(b, a)).is_zero():
+            return False, (a, b)
+    return True, None
+
+
+@st.composite
+def group_set_pairs(draw):
+    """A group with 1-3 moduli in 2..12, a nonempty T and an L of the same
+    size.  Half the pairs are a box T = {0..k_j-1} with L the multiples of
+    n_j/k_j, a valid spectrum, with one frequency possibly moved."""
+    moduli = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    g = GroupSpec(tuple(moduli))
+    elems = [g.unrank(r) for r in range(g.order)]
+    if draw(st.booleans()):
+        ks = []  # box sides, at most 12 points in all
+        for n in moduli:
+            room = 12 // math.prod(ks)
+            sides = [k for k in range(1, room + 1) if n % k == 0]
+            ks.append(draw(st.sampled_from(sides)))
+        T = frozenset(itertools.product(*[range(k) for k in ks]))
+        L = set(itertools.product(*[range(0, n, n // k) for n, k in zip(moduli, ks)]))
+        if len(L) < g.order and draw(st.booleans()):
+            L.remove(draw(st.sampled_from(sorted(L))))
+            L.add(draw(st.sampled_from([x for x in elems if x not in L])))
+        return g, T, frozenset(L)
+    size = draw(st.integers(1, min(g.order, 8)))
+    sets = st.lists(st.sampled_from(elems), min_size=size, max_size=size, unique=True)
+    return g, frozenset(draw(sets)), frozenset(draw(sets))
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_set_pairs())
+def test_batched_certificates_match_scalar_references(pair):
+    g, T, L = pair
+    event(f"exponent {'above' if g.exponent > 64 else 'within'} 64")
+    assert outcome(lambda: fourier_zero_set(g, T)) == outcome(
+        lambda: zero_set_reference(g, T)
+    )
+    got = outcome(lambda: is_spectrum(g, T, L))
+    expected = outcome(lambda: spectrum_reference(g, T, L))
+    if isinstance(got, tuple):
+        assert got == expected
+    else:
+        event(f"spectrum valid: {got.valid}")
+        assert (got.valid, got.witness) == expected

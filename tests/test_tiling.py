@@ -6,6 +6,7 @@ import pytest
 from fuglede.groups import GroupSpec
 from fuglede.tiling import (
     CoverBudgetExceeded,
+    cover_defect,
     divisibility_check,
     find_tiling,
     verify_tiling,
@@ -124,3 +125,18 @@ def test_budget_exceeded_is_distinct():
 def test_empty_set_rejected():
     with pytest.raises(ValueError):
         divisibility_check(Z4, frozenset())
+
+
+@pytest.mark.parametrize(
+    "g,T,sigma,defect",
+    [
+        # An over-covered element wins over a lower-rank uncovered one.
+        (Z6, {(0,), (1,)}, {(2,), (3,)}, (3,)),
+        (Z4, {(0,), (1,)}, {(0,)}, (2,)),
+        (Z4, {(0,), (1,)}, {(0,), (1,)}, (1,)),
+        (Z4, {(0,), (1,)}, {(0,), (2,)}, None),
+    ],
+)
+def test_cover_defect(g, T, sigma, defect):
+    assert cover_defect(g, T, sigma) == defect
+    assert verify_tiling(g, T, sigma) == (defect is None)
