@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import gcd
 from typing import Iterable, Optional
 
 import numpy as np
@@ -83,7 +84,7 @@ class OrthoResult:
     pairs: int = 0
 
 
-def _checked_base(base: Iterable[Element], what: str) -> tuple[Point, ...]:
+def _checked_base(base: Iterable[Point], what: str) -> tuple[Point, ...]:
     """Sorted distinct points of a nonempty subset of {0,1,2}^n."""
     base = tuple(sorted(set(base)))
     if not base:
@@ -101,12 +102,12 @@ def _lift(base: np.ndarray, m_scale: int, step: int) -> np.ndarray:
     return (step * cells[:, None, :] + base).reshape(-1, n)
 
 
-def build_omega1(base: Iterable[Element], m_scale: int) -> LatticeSet:
+def build_omega1(base: Iterable[Point], m_scale: int) -> LatticeSet:
     """Union over k in [0,M)^n of 3k + base, inside [0,3M)^n."""
     return LatticeSet(_checked_base(base, "base set"), m_scale)
 
 
-def build_lambda1(base_spec: Iterable[Element], m_scale: int) -> FrequencySet:
+def build_lambda1(base_spec: Iterable[Point], m_scale: int) -> FrequencySet:
     """Frequencies (l + M*xi)/(3M) mod 1 for l in [0,M)^n, xi in the base
     spectrum; all share denominator 3M.  Distinct (l, xi) give distinct
     numerators, since l = v mod M and xi = v // M."""
@@ -119,24 +120,49 @@ def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarra
     """Exact zero/nonzero verdict of the character sum over omega1 for every
     unordered frequency pair, by direct summation.
 
-    A verdict depends only on d = (nu_j - nu_i) mod denom, so each distinct d
-    is summed once over all points by the batched kernel `vanishing_sums`.
+    A verdict depends only on d = (nu_j - nu_i) mod denom.  For u prime to
+    denom, omega -> omega^u is an automorphism of Q(omega_denom), so the sum
+    at d vanishes iff the sum at u*d mod denom does (Washington, GTM 83,
+    ch. 2).  Pass 1 marks the distinct d row by row in a dense denom^n
+    table; one representative per Galois orbit (the least code of u*d) is
+    summed over all points by the batched kernel `vanishing_sums`, and the
+    verdicts are copied back through the table; pass 2 recomputes each
+    row's codes and reads its verdicts off the table.
     """
     denom, n, count = lambda1.denominator, omega1.dimension, len(lambda1.numerators)
     if not 1 <= denom <= MAX_ORDER:  # before the denom^n table is allocated
         raise ValueError(f"unsupported root order {denom}")
     nums, shape = np.asarray(lambda1.numerators, dtype=np.int64), (denom,) * n
-    codes = np.empty(count * (count - 1) // 2, np.min_scalar_type(denom**n))
-    for i in range(count - 1):
-        row = np.ravel_multi_index(((nums[i + 1 :] - nums[i]) % denom).T, shape)
-        start = i * (2 * count - i - 1) // 2  # rows 0..i-1 hold this many pairs
-        codes[start : start + len(row)] = row
+    # The code of d is sum_k d_k * denom^(n-1-k), its index in the table.
+    # terms[k][a, j] is the axis-k term of the code of (nums[j] - a) mod denom,
+    # so a row's codes are n slices added, with no per-row modulo.
+    values, place = np.arange(denom)[:, None], denom ** np.arange(n - 1, -1, -1)
+    terms = [(column - values) % denom * w for column, w in zip(nums.T, place)]
+
+    def row_codes(i: int) -> np.ndarray:
+        return sum(term[a, i + 1 :] for term, a in zip(terms, nums[i]))
+
     table = np.zeros(denom**n, dtype=bool)
-    table[codes] = True
-    # Distinct differences as small-int rows in code order, the order of table[table].
-    distinct = np.argwhere(table.reshape(shape)).astype(np.min_scalar_type(denom))
-    table[table] = vanishing_sums(omega1.points, distinct, denom)
-    return table[codes]
+    for i in range(count - 1):
+        table[row_codes(i)] = True
+    codes = np.flatnonzero(table)
+    digits = np.stack(np.unravel_index(codes, shape))
+    rep = codes.copy()
+    for u in range(2, denom):
+        if gcd(u, denom) == 1:
+            np.minimum(rep, np.ravel_multi_index(digits * u % denom, shape), out=rep)
+    del digits
+    verdict = np.zeros(denom**n, dtype=bool)
+    verdict[rep] = True
+    # Orbit representatives as small-int rows in code order, that of verdict[verdict].
+    reps = np.argwhere(verdict.reshape(shape)).astype(np.min_scalar_type(denom))
+    verdict[verdict] = vanishing_sums(omega1.points, reps, denom)
+    table[table] = verdict[rep]
+    out = np.empty(count * (count - 1) // 2, dtype=bool)
+    for i in range(count - 1):
+        start = i * (2 * count - i - 1) // 2  # rows 0..i-1 hold this many pairs
+        out[start : start + count - 1 - i] = table[row_codes(i)]
+    return out
 
 
 def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuglede import cyclotomic
+from fuglede import cyclotomic, lattice
 from fuglede.cyclotomic import vanishing
 from fuglede.hadamard import descend, paper_h6, spectrum_from_butson
 from fuglede.lattice import (
@@ -40,6 +42,12 @@ def z3_5_pair():
     g6, T6, L6 = spectrum_from_butson(paper_h6())
     _, T5, L5 = descend(g6, T6, L6)
     return T5, L5
+
+
+def test_annotations_resolve():
+    for _, function in inspect.getmembers(lattice, inspect.isfunction):
+        if function.__module__ == lattice.__name__:
+            typing.get_type_hints(function)
 
 
 def test_build_omega1_m1_is_base(z3_5_pair):
@@ -139,7 +147,7 @@ def test_direct_rejects_order_above_max_before_allocating(z3_5_pair):
     assert "points" not in vars(o1)
 
 
-def test_direct_sums_once_per_distinct_difference(z3_5_pair, monkeypatch):
+def test_direct_sums_once_per_galois_orbit(z3_5_pair, monkeypatch):
     T5, L5 = z3_5_pair
     o1 = build_omega1(T5, 2)
     l1 = build_lambda1(L5, 2)
@@ -155,8 +163,11 @@ def test_direct_sums_once_per_distinct_difference(z3_5_pair, monkeypatch):
         tuple((b - a) % 6 for a, b in zip(ni, nj))
         for ni, nj in itertools.combinations(l1.numerators, 2)
     }
+    # u*d for the units u of Z_6 (1 and 5): one kernel row per orbit.
+    orbits = {min(tuple(u * c % 6 for c in d) for u in (1, 5)) for d in distinct}
     assert len(verdicts) == 18336 and verdicts.all()
-    assert sum(rows) == len(distinct) < 18336
+    assert (len(distinct), len(orbits)) == (2765, 2231)
+    assert sum(rows) == len(orbits)
 
 
 @st.composite
@@ -211,6 +222,55 @@ def test_direct_matches_per_pair_sums_and_factored(sets):
     assert verify_ortho_lattice(o1, l1) == verify_ortho_lattice(
         o1, l1, method="factored"
     )
+
+
+def _axis_sets(denom):
+    """Integer sets on one axis, among them progressions of step denom/p
+    for the primes p | denom, whose sums vanish at many frequencies."""
+    steps = [denom // p for p in (2, 3, 5, 7) if denom % p == 0]
+    progression = st.builds(
+        lambda start, step: {start + k * step for k in range(denom // step)},
+        st.integers(-denom, denom),
+        st.sampled_from(steps),
+    )
+    noise = st.sets(st.integers(-denom, 2 * denom), min_size=1, max_size=3)
+    return st.lists(st.one_of(progression, noise), min_size=1, max_size=2).map(
+        lambda parts: sorted(set().union(*parts))
+    )
+
+
+@st.composite
+def corrupted_lattice_sets(draw):
+    """A FrequencySet with a denominator rich in units and a lifted set whose
+    cached points are overwritten: arbitrary small int64 points, or a
+    product of per-axis sets with a few points removed or added."""
+    denom = draw(st.sampled_from([7, 9, 12, 15, 16, 21]))
+    n = draw(st.integers(1, 3))
+    frequency = st.tuples(*[st.integers(0, denom - 1)] * n)
+    nums = draw(st.lists(frequency, max_size=10))
+    coord = st.integers(-2 * denom, 2 * denom)
+    loose = st.lists(st.tuples(*[coord] * n), max_size=12)
+    if draw(st.booleans()):
+        points = draw(loose)
+    else:
+        product = itertools.product(*[draw(_axis_sets(denom)) for _ in range(n)])
+        points = list(product)[draw(st.integers(0, 2)) :] + draw(loose)[:2]
+    o1 = build_omega1([(0,) * n], 1)
+    vars(o1)["points"] = np.array(points, dtype=np.int64).reshape(-1, n)
+    return o1, FrequencySet(denom, tuple(nums))
+
+
+@settings(deadline=None)
+@given(corrupted_lattice_sets())
+def test_direct_matches_per_pair_sums_on_corrupted_points(sets):
+    """The orbit reduction holds for any integer point set, not only lifts,
+    where the factored route cannot serve as the check."""
+    o1, l1 = sets
+    reference = [
+        character_sum_lattice(o1, tuple(np.subtract(nj, ni)), l1.denominator).is_zero()
+        for ni, nj in itertools.combinations(l1.numerators, 2)
+    ]
+    assert pair_verdicts_direct(o1, l1).tolist() == reference
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
