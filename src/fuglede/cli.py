@@ -333,7 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_counterexample)
 
-    p = sub.add_parser("scan", help="scan all subset classes of a small group")
+    p = sub.add_parser(
+        "scan",
+        help="scan all subset classes of a small group",
+        description=(
+            "Decide spectrality and tiling for every nonempty subset of the "
+            "group up to translation. The scan walks the 2^(n-1) subsets "
+            "that contain 0, so the group order n is limited to "
+            f"{spectra.SCAN_ORDER_LIMIT}; a larger group exits with status 2."
+        ),
+    )
     p.add_argument("group", help="group descriptor: n, p^k, or n1xn2x...")
     p.add_argument("--size", type=_at_least(1), help="restrict subset size")
     p.set_defaults(func=cmd_scan)

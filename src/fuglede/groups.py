@@ -1,9 +1,10 @@
 """Finite abelian groups Z_{n_1} x ... x Z_{n_r} and their character theory.
 
-Elements are plain tuples of reduced coordinates.  The group is identified
-with its dual: a frequency xi pairs with a point x through
-pairing(xi, x) = sum_j xi_j * x_j * (m / n_j) mod m, where m = lcm(n_j),
-so the character value is omega_m ** pairing(xi, x).
+Elements are plain tuples of reduced coordinates, ranked in row-major
+(lexicographic) order; `coords` and `ranks` convert whole arrays of them.
+The group is identified with its dual: a frequency xi pairs with a point x
+through pairing(xi, x) = sum_j xi_j * x_j * (m / n_j) mod m, where
+m = lcm(n_j), so the character value is omega_m ** pairing(xi, x).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -98,9 +99,6 @@ class GroupSpec:
     def sub(self, x: Element, y: Element) -> Element:
         return tuple((a - b) % n for a, b, n in zip(x, y, self.moduli))
 
-    def neg(self, x: Element) -> Element:
-        return tuple((-a) % n for a, n in zip(x, self.moduli))
-
     def standard_basis(self, j: int) -> Element:
         """Unit vector e_j, 1-indexed."""
         if not 1 <= j <= self.ndim:
@@ -122,17 +120,30 @@ class GroupSpec:
             out.append((r // s) % n)
         return tuple(out)
 
-    def elements(self) -> Iterator[Element]:
-        """All elements in rank order; order must stay exhaustive-scale."""
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Every element as a read-only (order, ndim) int64 array, row r the
+        element of rank r; the order must stay exhaustive-scale."""
         if self.order > EXHAUSTIVE_ORDER_LIMIT:
-            raise ValueError(
-                f"group of order {self.order} too large for exhaustive enumeration"
-            )
-        for r in range(self.order):
-            yield self.unrank(r)
+            raise ValueError(f"group of order {self.order} too large to enumerate")
+        out = np.indices(self.moduli, dtype=np.int64).reshape(self.ndim, -1).T.copy()
+        out.flags.writeable = False
+        return out
 
-    def translate(self, T: Iterable[Element], t: Element) -> frozenset[Element]:
-        return frozenset(self.add(x, t) for x in T)
+    def ranks(self, rows) -> np.ndarray:
+        """Ranks of the rows of a (k, ndim) integer array or list of elements,
+        with the ValueError of `rank` for a wrong-length or unreduced row."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if not len(rows):
+            return np.zeros(0, dtype=np.intp)
+        if rows.ndim != 2:
+            raise ValueError(f"expected one row per element, got shape {rows.shape}")
+        try:
+            return np.ravel_multi_index(tuple(rows.T), self.moduli)
+        except ValueError:
+            for row in rows.tolist():
+                self.validate(tuple(row))
+            raise
 
     # -- characters --------------------------------------------------------
 
@@ -168,10 +179,6 @@ class GroupSpec:
     def to_json(self) -> dict:
         return {"moduli": list(self.moduli)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> GroupSpec:
-        return cls(tuple(obj["moduli"]))
-
     def __str__(self) -> str:
         return "x".join(str(n) for n in self.moduli)
 
@@ -180,10 +187,18 @@ def element_set_to_json(T: Iterable[Element]) -> list[list[int]]:
     return [list(x) for x in sorted(T)]
 
 
+def integer_rows(obj, what: str) -> list[tuple[int, ...]]:
+    """obj, a JSON list of lists of integers, as tuples; ValueError for any
+    other shape or for a non-integer entry (a float is not truncated)."""
+    if isinstance(obj, list) and all(
+        isinstance(row, list) and all(type(c) is int for c in row) for row in obj
+    ):
+        return [tuple(row) for row in obj]
+    raise ValueError(f"{what} must be a JSON list of lists of integers")
+
+
 def element_set_from_json(g: GroupSpec, obj) -> frozenset[Element]:
-    out = set()
-    for item in obj:
-        x = tuple(int(c) for c in item)
+    out = integer_rows(obj, "element set")
+    for x in out:
         g.validate(x)
-        out.add(x)
     return frozenset(out)

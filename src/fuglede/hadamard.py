@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .cyclotomic import first_nonvanishing_pair
-from .groups import Element, GroupSpec
+from .groups import Element, GroupSpec, integer_rows
 from .spectra import is_spectrum
 
 
@@ -42,7 +42,10 @@ class ButsonMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> ButsonMatrix:
-        return cls(int(obj["q"]), tuple(tuple(row) for row in obj["logs"]))
+        """Accepts only {"q": integer, "logs": list of integer lists}."""
+        if not isinstance(obj, dict) or type(obj.get("q")) is not int:
+            raise ValueError('matrix JSON must be an object with an integer "q"')
+        return cls(obj["q"], tuple(integer_rows(obj.get("logs"), '"logs"')))
 
 
 @dataclass(frozen=True)

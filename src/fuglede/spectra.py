@@ -3,7 +3,8 @@
 A set T is spectral when some L with #L = #T has all pairwise differences
 in the Fourier zero set Z(T).  Searching for L is a clique search in the
 Cayley graph on the group with connection set Z(T); 0 can always be taken
-as a clique vertex because spectra are translation-invariant.
+as a clique vertex because spectra are translation-invariant.  The search
+and the scan work on element ranks; tuples appear only in results.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .cyclotomic import first_nonvanishing_pair, vanishing_sums
-from .groups import EXHAUSTIVE_ORDER_LIMIT, Element, GroupSpec
+from .groups import Element, GroupSpec
 from . import tiling
 
 MAX_SPECTRUM_SIZE = 64
-SCAN_ORDER_LIMIT = 1 << 14
+# canonical_classes walks 2^(order - 1) masks: 2^23 at this limit.
+SCAN_ORDER_LIMIT = 24
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -44,12 +46,9 @@ def fourier_zero_set(g: GroupSpec, T: Iterable[Element]) -> frozenset[Element]:
     T = frozenset(T)
     if not T:
         raise ValueError("empty set has no Fourier zero set")
-    if g.order > EXHAUSTIVE_ORDER_LIMIT:
-        raise ValueError(f"group of order {g.order} too large for Z(T)")
-    elems = np.indices(g.moduli).reshape(g.ndim, -1).T
     # The sum at d = 0 is #T, so the identity never lands in Z(T).
-    zero = vanishing_sums(g.pairing_points(T), elems, g.exponent)
-    return frozenset(map(tuple, elems[zero].tolist()))
+    zero = vanishing_sums(g.pairing_points(T), g.coords, g.exponent)
+    return frozenset(map(tuple, g.coords[zero].tolist()))
 
 
 def is_spectrum(
@@ -88,49 +87,48 @@ def find_spectrum(
     if len(T) > MAX_SPECTRUM_SIZE:
         raise ValueError(f"set of size {len(T)} beyond search limit")
     budget = tiling.resolve_node_budget(node_budget)
-    target = len(T)
-    zero = g.identity()
-    if target == 1:
-        return SpectrumSearch(True, (zero,), 0)
+    need = len(T) - 1  # clique size besides 0
+    if need == 0:
+        return SpectrumSearch(True, (g.identity(),), 0)
 
-    zset = fourier_zero_set(g, T)
-    if len(zset) < target - 1:
+    zero = vanishing_sums(g.pairing_points(T), g.coords, g.exponent)  # Z(T) by rank
+    zset = np.flatnonzero(zero)
+    if len(zset) < need:
         return SpectrumSearch(False, None, 0)
-    ranks = {v: g.rank(v) for v in zset}
-    adj = {
-        v: frozenset(u for u in zset if u != v and g.sub(u, v) in zset)
-        for v in zset
-    }
+    # adj[i, j]: zset[j] - zset[i] lies in Z(T); the diagonal is False.
+    points = g.coords[zset]
+    diffs = (points - points[:, None]) % g.moduli
+    adj = zero[g.ranks(diffs.reshape(-1, g.ndim)).reshape(len(zset), -1)]
     # Descending degree, rank tie-break: effective pruning, reproducible.
-    order = sorted(zset, key=lambda v: (-len(adj[v]), ranks[v]))
+    order = np.argsort(-adj.sum(axis=1), kind="stable")
+    vertices = zset[order].tolist()
+    # Neighbours of vertex i as a bitmask over positions in that order.
+    packed = np.packbits(adj[np.ix_(order, order)], axis=1, bitorder="little")
+    neighbours = [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     nodes = 0
-    found: list[Element] = []
+    clique: list[int] = []
 
-    def extend(clique: list[Element], candidates: list[Element]) -> bool:
+    def extend(candidates: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise SearchBudgetExceeded(
-                f"clique search exceeded {budget} nodes"
-            )
-        if len(clique) == target - 1:
-            found.extend(clique)
+            raise SearchBudgetExceeded(f"clique search exceeded {budget} nodes")
+        if len(clique) == need:
             return True
-        if len(clique) + len(candidates) < target - 1:
-            return False
-        for i, v in enumerate(candidates):
-            if len(clique) + len(candidates) - i < target - 1:
-                return False
-            rest = [u for u in candidates[i + 1 :] if u in adj[v]]
+        # Lowest position first; a tried candidate leaves the pool.
+        while len(clique) + candidates.bit_count() >= need:
+            v = (candidates & -candidates).bit_length() - 1
+            candidates ^= 1 << v
             clique.append(v)
-            if extend(clique, rest):
+            if extend(candidates & neighbours[v]):
                 return True
             clique.pop()
         return False
 
-    if extend([], order):
-        spectrum = tuple(sorted([zero] + found, key=g.rank))
+    if extend((1 << len(vertices)) - 1):
+        ranks = sorted([0] + [vertices[v] for v in clique])
+        spectrum = tuple(map(tuple, g.coords[ranks].tolist()))
         return SpectrumSearch(True, spectrum, nodes)
     return SpectrumSearch(False, None, nodes)
 
@@ -146,14 +144,6 @@ class ScanRecord:
     spectrum: Optional[tuple[Element, ...]] = None
     complement: Optional[tuple[Element, ...]] = None
     obstruction: Optional[tiling.DivisibilityObstruction] = None
-
-    @property
-    def spectral_non_tile(self) -> bool:
-        return self.spectral and not self.tiles
-
-    @property
-    def tile_non_spectral(self) -> bool:
-        return self.tiles and not self.spectral
 
     def to_json(self) -> dict:
         rec: dict = {
@@ -198,12 +188,14 @@ def canonical_classes(
     """
     n = g.order
     if n > SCAN_ORDER_LIMIT:
-        raise ValueError(f"group of order {n} beyond subset enumeration")
-    elems = [g.unrank(r) for r in range(n)]
-    # sub_table[x_rank][r] = rank(unrank(r) - unrank(x_rank))
-    sub_table = [
-        [g.rank(g.sub(elems[r], elems[x])) for r in range(n)] for x in range(n)
-    ]
+        raise ValueError(
+            f"group of order {n} beyond subset enumeration (limit {SCAN_ORDER_LIMIT})"
+        )
+    coords = g.coords
+    elements = list(map(tuple, coords.tolist()))  # shared by all classes
+    # sub_table[x][r] = rank of (element r) - (element x)
+    diffs = (coords - coords[:, None]) % g.moduli
+    sub_table = g.ranks(diffs.reshape(-1, g.ndim)).reshape(n, n).tolist()
     for body in range(1 << (n - 1)):
         mask = (body << 1) | 1  # subsets containing 0
         bits = [r for r in range(n) if mask >> r & 1]
@@ -219,18 +211,14 @@ def canonical_classes(
                 canonical = shifted
                 break
         if canonical == mask:
-            yield frozenset(elems[r] for r in bits)
+            yield frozenset(elements[r] for r in bits)
 
 
-def scan_class(
-    g: GroupSpec,
-    T: frozenset[Element],
-    node_budget: Optional[int] = None,
-) -> ScanRecord:
-    spec = find_spectrum(g, T, node_budget)
-    tile = tiling.find_tiling(g, T, node_budget)
+def scan_class(g: GroupSpec, T: frozenset[Element]) -> ScanRecord:
+    spec = find_spectrum(g, T)
+    tile = tiling.find_tiling(g, T)
     return ScanRecord(
-        elements=tuple(sorted(T, key=g.rank)),
+        elements=tuple(sorted(T)),  # rank order is lexicographic order
         spectral=spec.spectral,
         tiles=tile.tiles,
         spectrum=spec.spectrum,
@@ -240,23 +228,18 @@ def scan_class(
 
 
 def fuglede_scan(
-    g: GroupSpec,
-    size_filter: Optional[int] = None,
-    subsets: Optional[Iterable[frozenset[Element]]] = None,
-    node_budget: Optional[int] = None,
+    g: GroupSpec, size_filter: Optional[int] = None
 ) -> tuple[list[ScanRecord], ScanSummary]:
     """Test both directions of the spectral/tiling correspondence over all
-    subset classes (or the given subsets) and collect counterexamples."""
-    if subsets is None:
-        subsets = canonical_classes(g, size_filter)
+    subset classes and collect counterexamples."""
     records = []
     summary = ScanSummary()
-    for T in subsets:
-        rec = scan_class(g, frozenset(T), node_budget)
+    for T in canonical_classes(g, size_filter):
+        rec = scan_class(g, T)
         records.append(rec)
         summary.classes += 1
-        if rec.spectral_non_tile:
+        if rec.spectral and not rec.tiles:
             summary.spectral_non_tiles.append(rec.elements)
-        if rec.tile_non_spectral:
+        if rec.tiles and not rec.spectral:
             summary.tiles_non_spectral.append(rec.elements)
     return records, summary

@@ -3,7 +3,8 @@
 Decision route: a divisibility pre-check (#T must divide #G), then exact
 cover by translates, Algorithm X style.  A positive answer carries the
 complement set; a negative one carries either the divisibility obstruction
-or the fact that the cover search was exhausted.
+or the fact that the cover search was exhausted.  Translates are arrays of
+element ranks; tuples appear only in results.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .groups import Element, GroupSpec
 
@@ -66,14 +69,12 @@ def cover_defect(
 ) -> Optional[Element]:
     """The lowest-rank element that the translates {t + T : t in sigma} cover
     twice or more, else the lowest-rank one they miss; None if neither."""
-    T = frozenset(T)
-    covered = [0] * g.order
-    for t in frozenset(sigma):
-        for x in T:
-            covered[g.rank(g.add(x, t))] += 1
-    # Over-covered elements first, then uncovered ones, each by rank.
-    rank = min(range(g.order), key=lambda r: (covered[r] < 2, covered[r] > 0, r))
-    return None if covered[rank] == 1 else g.unrank(rank)
+    shifts = g.ranks(list(frozenset(sigma)))
+    covered = np.bincount(_translates(g, T, shifts).ravel(), minlength=g.order)
+    defects = np.flatnonzero(covered > 1)
+    if not defects.size:
+        defects = np.flatnonzero(covered == 0)
+    return tuple(g.coords[defects[0]].tolist()) if defects.size else None
 
 
 def verify_tiling(
@@ -83,27 +84,11 @@ def verify_tiling(
     return cover_defect(g, T, sigma) is None
 
 
-def _solve_cover(
-    X: dict[int, set[int]],
-    Y: dict[int, list[int]],
-    solution: list[int],
-    state: dict,
-) -> bool:
-    state["nodes"] += 1
-    if state["nodes"] > state["budget"]:
-        raise CoverBudgetExceeded(f"cover search exceeded {state['budget']} nodes")
-    if not X:
-        return True
-    # Minimum remaining candidates, smallest column rank on ties.
-    col = min(X, key=lambda c: (len(X[c]), c))
-    for row in sorted(X[col]):
-        solution.append(row)
-        removed = _cover(X, Y, row)
-        if _solve_cover(X, Y, solution, state):
-            return True
-        _uncover(X, Y, row, removed)
-        solution.pop()
-    return False
+def _translates(g: GroupSpec, T: Iterable[Element], shifts: np.ndarray) -> np.ndarray:
+    """Row i: the ranks of the translate (element shifts[i]) + T."""
+    points = g.coords[g.ranks(list(frozenset(T)))]
+    sums = (g.coords[shifts][:, None] + points) % g.moduli
+    return g.ranks(sums.reshape(-1, g.ndim)).reshape(len(shifts), len(points))
 
 
 def _cover(X, Y, row):
@@ -148,20 +133,35 @@ def find_tiling(
         raise ValueError(f"group of order {g.order} beyond cover search")
     budget = resolve_node_budget(node_budget)
 
-    n = g.order
-    elems = [g.unrank(r) for r in range(n)]
-    Y = {
-        t: sorted(g.rank(g.add(elems[t], x)) for x in T) for t in range(n)
-    }
-    X: dict[int, set[int]] = {c: set() for c in range(n)}
-    for row, cols in Y.items():
-        for c in cols:
-            X[c].add(row)
-
+    # Row t covers the ranks Y[t] of t + T; column c is covered by the rows
+    # X[c], #T of them, found by sorting the flattened Y.
+    rows = np.sort(_translates(g, T, np.arange(g.order)), axis=1)
+    by_col = np.argsort(rows.ravel(), kind="stable").reshape(g.order, -1)
+    X = {c: set(rs) for c, rs in enumerate((by_col // len(T)).tolist())}
+    Y = rows.tolist()
+    nodes = 0
     solution = [0]
+
+    def solve() -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise CoverBudgetExceeded(f"cover search exceeded {budget} nodes")
+        if not X:
+            return True
+        # Minimum remaining candidates, smallest column rank on ties.
+        col = min(X, key=lambda c: (len(X[c]), c))
+        for row in sorted(X[col]):
+            solution.append(row)
+            removed = _cover(X, Y, row)
+            if solve():
+                return True
+            _uncover(X, Y, row, removed)
+            solution.pop()
+        return False
+
     _cover(X, Y, 0)
-    state = {"nodes": 0, "budget": budget}
-    if _solve_cover(X, Y, solution, state):
-        sigma = tuple(elems[r] for r in sorted(solution))
+    if solve():
+        sigma = tuple(map(tuple, g.coords[sorted(solution)].tolist()))
         return TilingResult(True, complement=sigma)
     return TilingResult(False, exhausted=True)

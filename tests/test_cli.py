@@ -245,13 +245,31 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
         (None, ["scan", "4", "--size", "0"], 2, "--size: must be >= 1"),
         (None, ["scan", "4", "--size", "-1"], 2, "--size: must be >= 1"),
         (None, ["scan", "4", "--size", "9"], 2, "--size 9 exceeds the group order 4"),
+        (None, ["scan", "25"], 2, "group of order 25 beyond subset enumeration"),
+        (
+            None,
+            ["verify", "--group", "4", "--set", "[1,2]", "--spectrum", "[[0]]"],
+            2,
+            "element set must be a JSON list of lists of integers",
+        ),
+        (
+            None,
+            ["verify", "--group", "4", "--set", "{0,1}", "--spectrum", "[[0.5],[2]]"],
+            2,
+            "element set must be a JSON list of lists of integers",
+        ),
+        (None, ["verify", "--matrix", "no_q.json"], 2, 'integer "q"'),
+        (None, ["verify", "--matrix", "list.json"], 2, 'integer "q"'),
     ],
 )
 def test_failures_exit_cleanly_with_json(
-    capsys, monkeypatch, budget, argv, code, fragment
+    capsys, monkeypatch, tmp_path, budget, argv, code, fragment
 ):
     if budget is not None:
         monkeypatch.setenv("FUGLEDE_BUDGET", budget)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no_q.json").write_text('{"logs": [[0, 0], [0, 1]]}')
+    (tmp_path / "list.json").write_text("[[0, 0], [0, 1]]")
     got, out = run(capsys, "--json", *argv)
     assert got == code
     error = json.loads(out)
@@ -268,6 +286,9 @@ GOLDEN_STDOUT = {
     "counterexample z2-12": "2d3a318044205396c833894816938fb356ec8cf54daad37ab471237c0cdaa38e",
     "counterexample z2-11": "e7c260f9d2b5af4b4de8d5d9e2d4b22fc76f49f6c965ff775f8682f9db8c1c11",
     "scan 12": "016e424036f29cb52da5afb2f37ccd1dd9340ba41866ba7f657a3e7c610f0c44",
+    "scan 2^4": "261536e3206c3cc0d660652348c15b9ebc37bef1e36ba9a88cb64f2f6168ac8e",
+    "scan 3x3": "0ecf9f18138d299284cf68288a2a0208ed7cb34f8adfa762c66721c4594ba26f",
+    "scan 2x4": "e1c5281346cb5a4cdbeb5ee927afbe25de8959e95b356c5a6f165989e4a47299",
     "verify --matrix h12": "5fa5fd4b747f91d8a4bcbd5918cf05442dc804d79b1d5257e7fdd93df4127f58",
     "counterexample continuum --m 2 --k-radius 1 --pair-budget 100000": "474574eb15ece6496555108bd48157a6cd511117016828f09084d3d01765d6cd",
     "density --m 10 --l 8 --stride 4": "1407191453401cef97ccac525fdc86de23e3bb9d7d022b1f59f7c393ba9be11b",

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuglede.groups import GroupSpec, element_set_from_json, element_set_to_json
 
@@ -53,7 +55,7 @@ def test_pairing_points_match_pairing():
     T = [(1, 5), (3, 2), (2**62 + 1, -7)]
     rows = g.pairing_points(T)
     assert rows.dtype == np.int64 and rows.shape == (3, 2)
-    for d in g.elements():
+    for d in g.coords.tolist():
         got = [int(np.dot(d, row)) % g.exponent for row in rows]
         assert got == [g.pairing(d, x) for x in T]
     with pytest.raises(ValueError):
@@ -136,9 +138,57 @@ def test_descriptor_parsing():
 
 def test_json_roundtrip():
     g = GroupSpec((4, 3))
-    assert GroupSpec.from_json(g.to_json()) == g
+    assert g.to_json() == {"moduli": [4, 3]}
     T = frozenset({(0, 0), (3, 2)})
     assert element_set_from_json(g, element_set_to_json(T)) == T
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[1, 2], [[0.5], [2]], [[True]], [["1"]], {"0": [0]}, [[0], 1]],
+    ids=["flat", "float", "bool", "string", "object", "mixed"],
+)
+def test_element_set_from_json_rejects_non_integer_lists(obj):
+    with pytest.raises(ValueError, match="list of lists of integers"):
+        element_set_from_json(GroupSpec.cyclic(4), obj)
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@st.composite
+def groups_and_rows(draw):
+    """A group with 1-3 moduli and a list of rows, mostly elements; a row
+    may have the wrong length or a coordinate outside [0, n_j)."""
+    g = GroupSpec(tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))))
+    width = g.ndim + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    coordinate = st.integers(0, max(g.moduli) - 1) | st.integers(-12, 12)
+    row = st.lists(coordinate, min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=6))
+    return g, np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(groups_and_rows())
+def test_ranks_match_rank(case):
+    g, rows = case
+    expected = outcome(lambda: [g.rank(tuple(x)) for x in rows.tolist()])
+    assert outcome(lambda: g.ranks(rows).tolist()) == expected
+    for r in range(g.order):
+        assert tuple(g.coords[r].tolist()) == g.unrank(r)
+
+
+def test_coords_is_read_only_and_limited():
+    g = GroupSpec((4, 3))
+    assert g.coords.shape == (12, 2) and g.coords.dtype == np.int64
+    with pytest.raises(ValueError):
+        g.coords[0, 0] = 1
+    with pytest.raises(ValueError, match="too large"):
+        GroupSpec.power(2, 21).coords
 
 
 def test_invalid_groups_rejected():

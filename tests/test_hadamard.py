@@ -191,3 +191,19 @@ def test_verify_butson_matches_per_pair_reference(H):
     check = verify_butson(H)
     assert check == expected
     assert all(type(v) is int for v in check.failing_pair or ())
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"logs": [[0, 0], [0, 1]]},
+        [[0, 0], [0, 1]],
+        {"q": 2.5, "logs": [[0, 0], [0, 1]]},
+        {"q": 2, "logs": [[0, 0], [0, 1.0]]},
+        {"q": 2, "logs": [0, 1]},
+    ],
+    ids=["no-q", "list", "float-q", "float-entry", "flat-logs"],
+)
+def test_from_json_rejects_malformed_matrices(obj):
+    with pytest.raises(ValueError):
+        ButsonMatrix.from_json(obj)

@@ -16,6 +16,10 @@ Z4 = GroupSpec.cyclic(4)
 Z6 = GroupSpec.cyclic(6)
 
 
+def translate(g, T, t):
+    return frozenset(g.add(x, t) for x in T)
+
+
 def test_divisibility_obstructions():
     g12 = GroupSpec.power(2, 12)
     T = frozenset(g12.standard_basis(j) for j in range(1, 13))
@@ -57,7 +61,8 @@ def test_verify_tiling():
     assert verify_tiling(Z4, {(0,), (1,)}, {(0,), (2,)})
     assert not verify_tiling(Z4, {(0,), (1,)}, {(0,), (1,)})
     g = GroupSpec((3, 2))
-    assert verify_tiling(g, frozenset(g.elements()), {g.identity()})
+    everything = frozenset(g.unrank(r) for r in range(g.order))
+    assert verify_tiling(g, everything, {g.identity()})
 
 
 def test_roundtrip_and_translation_invariance():
@@ -70,12 +75,12 @@ def test_roundtrip_and_translation_invariance():
         if result.tiles:
             assert verify_tiling(g, T, result.complement)
         t = rng.choice(elems)
-        shifted = find_tiling(g, g.translate(T, t))
+        shifted = find_tiling(g, translate(g, T, t))
         assert shifted.tiles == result.tiles
         if result.tiles:
             sigma = frozenset(result.complement)
             assert verify_tiling(
-                g, g.translate(T, t), frozenset(g.sub(s, t) for s in sigma)
+                g, translate(g, T, t), frozenset(g.sub(s, t) for s in sigma)
             )
 
 
