@@ -14,11 +14,15 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .lattice import FrequencySet, LatticeSet, character_sum_lattice
 
 Point = tuple[int, ...]
+Pairs = Iterator[tuple[np.ndarray, np.ndarray]]  # blocks of index pairs (i, j)
+_BLOCK = 1 << 12  # pairs decided per numpy block
 
 
 @dataclass(frozen=True)
@@ -83,22 +87,6 @@ def inner_product_is_zero(
     return character_sum_lattice(omega1, delta, denominator).is_zero()
 
 
-def _frequency_difference(
-    a: ExtendedFrequency, b: ExtendedFrequency
-) -> tuple[Point, Point]:
-    """delta (reduced) and shift of a - b, folding numerator carries into
-    the integer part."""
-    denom = a.denominator
-    delta = []
-    shift = []
-    for va, vb, ka, kb in zip(a.base, b.base, a.shift, b.shift):
-        raw = va - vb
-        d = raw % denom
-        delta.append(d)
-        shift.append(ka - kb + (raw - d) // denom)
-    return tuple(delta), tuple(shift)
-
-
 def verify_spectrum_truncation(
     omega1: LatticeSet,
     lambda1: FrequencySet,
@@ -112,62 +100,67 @@ def verify_spectrum_truncation(
     A full quadratic pass when the pair count fits the budget, otherwise a
     deterministic seeded sample of pair indices.  Completeness of the full
     spectrum is not finitely checkable; this certifies orthogonality only.
+
+    Frequency f is numerator f // S plus shift f % S (S shifts).  Blocks of
+    pairs are decided by the rules of `inner_product_is_zero`, one lattice
+    sum per distinct delta; a repeated frequency (eta = 0) fails that sum.
     """
     if k_radius < 0:
         raise ValueError("k_radius must be >= 0")
-    denom = lambda1.denominator
-    shifts = _cube_shifts(omega1.dimension, k_radius)
-    freqs = [
-        ExtendedFrequency(base, denom, k)
-        for base in lambda1.numerators
-        for k in shifts
-    ]
-    count = len(freqs)
-    total_pairs = count * (count - 1) // 2
-    verdict_cache: dict[tuple[Point, Point], bool] = {}
-
-    def check(i: int, j: int) -> bool:
-        delta, shift = _frequency_difference(freqs[i], freqs[j])
-        shift_sig = tuple(
-            0 if (d != 0 or s == 0) else 1 for d, s in zip(delta, shift)
-        )
-        key = (delta, shift_sig)
-        if key not in verdict_cache:
-            verdict_cache[key] = inner_product_is_zero(
-                omega1, delta, denom, shift
-            )
-        return verdict_cache[key]
-
-    if total_pairs <= pair_budget:
-        checked = 0
-        for i in range(count):
-            for j in range(i + 1, count):
-                checked += 1
-                if not check(i, j):
-                    return TruncationResult(
-                        False, (freqs[i], freqs[j]), checked, False
-                    )
-        return TruncationResult(True, None, checked, False)
-
-    rng = random.Random(seed)
+    denom, n, numerators = lambda1.denominator, omega1.dimension, lambda1.numerators
+    nums = np.array(numerators, dtype=np.int64).reshape(len(numerators), n)
+    side = 2 * k_radius + 1  # shifts in lexicographic order
+    shifts = np.indices((side,) * n).reshape(n, -1).T - k_radius
+    per = len(shifts)
+    count = len(nums) * per
+    sampled = count * (count - 1) // 2 > pair_budget
+    blocks = _sampled_pairs(count, pair_budget, seed) if sampled else _all_pairs(count)
+    verdicts: dict[int, bool] = {}  # code of delta -> lattice sum vanishes
     checked = 0
-    for _ in range(pair_budget):
-        i = rng.randrange(count)
-        j = rng.randrange(count - 1)
-        if j >= i:
-            j += 1
-        checked += 1
-        if not check(min(i, j), max(i, j)):
-            return TruncationResult(False, (freqs[i], freqs[j]), checked, True)
-    return TruncationResult(True, None, checked, True)
+    for i, j in blocks:
+        # Drawn pairs are unordered; the difference is taken from the lower index.
+        (num_a, num_b), (shift_a, shift_b) = np.divmod(np.sort([i, j], axis=0), per)
+        delta = (nums[num_a] - nums[num_b]) % denom
+        # A cube factor vanishes where delta_k = 0 and the shifts differ (the
+        # numerators are reduced, so no carry reaches such a coordinate).
+        ok = ((delta == 0) & (shifts[shift_a] != shifts[shift_b])).any(axis=1)
+        live = np.flatnonzero(~ok)
+        code = np.ravel_multi_index(delta[live].T, (denom,) * n)
+        codes, index, inverse = np.unique(code, return_index=True, return_inverse=True)
+        for c, row in zip(codes.tolist(), delta[live[index]]):
+            if c not in verdicts:
+                verdicts[c] = character_sum_lattice(omega1, row, denom).is_zero()
+        ok[live] = np.array([verdicts[c] for c in codes.tolist()], dtype=bool)[inverse]
+        if not ok.all():
+            first = int(np.argmin(ok))
+            witness = tuple(
+                ExtendedFrequency(numerators[a], denom, tuple(shifts[s].tolist()))
+                for a, s in (divmod(int(x[first]), per) for x in (i, j))
+            )
+            return TruncationResult(False, witness, checked + first + 1, sampled)
+        checked += len(ok)
+    return TruncationResult(True, None, checked, sampled)
 
 
-def _cube_shifts(dimension: int, radius: int) -> list[Point]:
-    import itertools
+def _all_pairs(count: int) -> Pairs:
+    """Every pair (i, j > i), row by row, in blocks of _BLOCK pairs."""
+    rows = np.arange(count)
+    starts = rows * (2 * count - rows - 1) // 2  # pairs in the rows above
+    total = count * (count - 1) // 2
+    for lo in range(0, total, _BLOCK):
+        p = np.arange(lo, min(lo + _BLOCK, total))
+        i = np.searchsorted(starts, p, side="right") - 1
+        yield i, p - starts[i] + i + 1
 
-    return sorted(
-        itertools.product(range(-radius, radius + 1), repeat=dimension)
-    )
+
+def _sampled_pairs(count: int, budget: int, seed: int) -> Pairs:
+    """`budget` seeded draws of i, then j != i, in blocks of _BLOCK pairs."""
+    randrange = random.Random(seed).randrange
+    for lo in range(0, budget, _BLOCK):
+        size = min(_BLOCK, budget - lo)
+        draws = [randrange(c) for _ in range(size) for c in (count, count - 1)]
+        i, j = np.array(draws, dtype=np.int64).reshape(-1, 2).T
+        yield i, j + (j >= i)
 
 
 def export_geometry(

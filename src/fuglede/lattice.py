@@ -181,19 +181,11 @@ def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndar
     return np.array(out, dtype=bool)
 
 
-def verify_ortho_lattice(
-    omega1: LatticeSet,
-    lambda1: FrequencySet,
-    method: str = "direct",
-) -> OrthoResult:
+def verify_ortho_lattice(omega1: LatticeSet, lambda1: FrequencySet) -> OrthoResult:
     """Valid iff every distinct frequency pair has vanishing character sum
-    over omega1; the direct exact summation is the reference route."""
-    if method == "direct":
-        verdicts = pair_verdicts_direct(omega1, lambda1)
-    elif method == "factored":
-        verdicts = pair_verdicts_factored(omega1, lambda1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    over omega1, by the direct exact summation; the tests check its verdicts
+    against the independent route `pair_verdicts_factored`."""
+    verdicts = pair_verdicts_direct(omega1, lambda1)
     if bool(verdicts.all()):
         return OrthoResult(True, pairs=len(verdicts))
     # Verdicts are in itertools.combinations order: (0,1), (0,2), ..., (1,2), ...

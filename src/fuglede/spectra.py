@@ -184,7 +184,8 @@ def canonical_classes(
     """Nonempty subsets up to translation, one representative per class.
 
     The representative is the minimum-mask translate containing 0, masks
-    read over element ranks.
+    read over element ranks.  With a size filter only the masks of that
+    popcount are walked, in the same increasing order.
     """
     n = g.order
     if n > SCAN_ORDER_LIMIT:
@@ -196,11 +197,13 @@ def canonical_classes(
     # sub_table[x][r] = rank of (element r) - (element x)
     diffs = (coords - coords[:, None]) % g.moduli
     sub_table = g.ranks(diffs.reshape(-1, g.ndim)).reshape(n, n).tolist()
-    for body in range(1 << (n - 1)):
+    if size_filter is None:
+        bodies: Iterable[int] = range(1 << (n - 1))
+    else:
+        bodies = _masks_with_popcount(n - 1, size_filter - 1)
+    for body in bodies:
         mask = (body << 1) | 1  # subsets containing 0
         bits = [r for r in range(n) if mask >> r & 1]
-        if size_filter is not None and len(bits) != size_filter:
-            continue
         canonical = mask
         for x in bits[1:]:
             row = sub_table[x]
@@ -212,6 +215,17 @@ def canonical_classes(
                 break
         if canonical == mask:
             yield frozenset(elements[r] for r in bits)
+
+
+def _masks_with_popcount(width: int, ones: int) -> Iterator[int]:
+    """Masks below 2^width with `ones` bits set, increasing (Gosper's hack)."""
+    mask = (1 << ones) - 1 if 0 <= ones <= width else 1 << width
+    while mask < 1 << width:
+        yield mask
+        low = mask & -mask
+        if not low:  # the one mask with no bits set
+            return
+        mask = (((mask + low) ^ mask) >> 2) // low | (mask + low)
 
 
 def scan_class(g: GroupSpec, T: frozenset[Element]) -> ScanRecord:

@@ -1,9 +1,16 @@
+import itertools
 import json
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuglede.continuum import (
     CubeUnion,
+    ExtendedFrequency,
+    TruncationResult,
     build_omega2,
     export_geometry,
     inner_product_is_zero,
@@ -15,17 +22,20 @@ from fuglede.lattice import (
     FrequencySet,
     build_lambda1,
     build_omega1,
+    pair_verdicts_direct,
     verify_ortho_lattice,
 )
 
 
-@pytest.fixture(scope="module")
-def lifted():
+def lifted_pair(m):
     g6, T6, L6 = spectrum_from_butson(paper_h6())
     _, T5, L5 = descend(g6, T6, L6)
-    o1 = build_omega1(T5, 2)
-    l1 = build_lambda1(L5, 2)
-    return o1, l1
+    return build_omega1(T5, m), build_lambda1(L5, m)
+
+
+@pytest.fixture(scope="module")
+def lifted():
+    return lifted_pair(2)
 
 
 def test_measure_equals_point_count(lifted):
@@ -105,6 +115,128 @@ def test_truncation_detects_corruption(lifted):
     bad = FrequencySet(6, tuple(nums))
     result = verify_spectrum_truncation(o1, bad, 0)
     assert not result.valid and result.witness is not None
+
+
+def truncation_reference(o1, l1, k_radius, pair_budget, seed=0):
+    """Per-pair loop over the truncated spectrum: the same pair order and
+    rng draws as verify_spectrum_truncation, one inner_product_is_zero call
+    per pair; eta = 0 (a repeated frequency) fails, its product being the
+    measure."""
+    denom = l1.denominator
+    radius = range(-k_radius, k_radius + 1)
+    shifts = list(itertools.product(radius, repeat=o1.dimension))
+    freqs = [ExtendedFrequency(b, denom, k) for b in l1.numerators for k in shifts]
+    count = len(freqs)
+
+    def orthogonal(a, b):
+        raw = [x - y for x, y in zip(a.base, b.base)]
+        delta = [r % denom for r in raw]
+        carry = [(r - d) // denom for r, d in zip(raw, delta)]
+        shift = [p - q + c for p, q, c in zip(a.shift, b.shift, carry)]
+        if not any(delta) and not any(shift):
+            return False
+        return inner_product_is_zero(o1, delta, denom, shift)
+
+    sampled = count * (count - 1) // 2 > pair_budget
+    if sampled:
+        rng = random.Random(seed)
+        draws = (
+            (rng.randrange(count), rng.randrange(count - 1)) for _ in range(pair_budget)
+        )
+        pairs = ((i, j + (j >= i)) for i, j in draws)
+    else:
+        pairs = itertools.combinations(range(count), 2)
+    checked = 0
+    for i, j in pairs:
+        checked += 1
+        if not orthogonal(freqs[min(i, j)], freqs[max(i, j)]):
+            return TruncationResult(False, (freqs[i], freqs[j]), checked, sampled)
+    return TruncationResult(True, None, checked, sampled)
+
+
+def test_repeated_frequency_fails_like_the_lattice_route(lifted):
+    # At K = 0 the full pass visits the lattice pairs in the same order, so
+    # a repeated numerator fails at the first failing pair of the lattice
+    # route instead of raising on eta = 0.
+    o1, l1 = lifted
+    nums = l1.numerators
+    bad = FrequencySet(6, nums[:98] + nums[97:98] + nums[99:])
+    result = verify_spectrum_truncation(o1, bad, 0)
+    ortho = verify_ortho_lattice(o1, bad)
+    assert result.valid == ortho.valid is False
+    assert tuple(f.base for f in result.witness) == ortho.witness
+    assert result.pairs_checked == int(np.argmin(pair_verdicts_direct(o1, bad))) + 1
+    assert not result.sampled
+
+
+def test_repeated_frequency_fails_at_k1_full_pass():
+    o1, l1 = lifted_pair(1)
+    nums = l1.numerators
+    bad = FrequencySet(3, nums[:4] + nums[3:4] + nums[4:])
+    per, count = 3**5, 7 * 3**5
+    result = verify_spectrum_truncation(o1, bad, 1, pair_budget=count * count)
+    # The first failing pair: numerator 3 and its copy, both at shift -1.
+    low = ExtendedFrequency(nums[3], 3, (-1,) * 5)
+    i, j = 3 * per, 4 * per
+    assert result == TruncationResult(
+        False, (low, low), i * (2 * count - i - 1) // 2 + (j - i), False
+    )
+
+
+@pytest.mark.parametrize(
+    "m, k_radius, budget", [(1, 0, 60), (2, 0, 10_000), (1, 1, 100_000)]
+)
+def test_repeated_frequency_fails_in_the_sample(m, k_radius, budget):
+    # Every numerator twice, so the sample draws some eta = 0 pair.
+    o1, l1 = lifted_pair(m)
+    bad = FrequencySet(l1.denominator, l1.numerators * 2)
+    result = verify_spectrum_truncation(o1, bad, k_radius, pair_budget=budget)
+    assert result.sampled and not result.valid
+    assert result.witness[0] == result.witness[1]
+    assert result == truncation_reference(o1, bad, k_radius, budget)
+
+
+@st.composite
+def truncation_cases(draw):
+    """A small lifted set, Lambda_1 as built, perturbed or truncated, a
+    radius, and a pair budget on either side of the pair count.  The full
+    cube {0,1,2}^n as base and spectrum makes an orthogonal set, so that
+    long valid runs are drawn too."""
+    n = draw(st.integers(1, 3))
+    cube = list(itertools.product(range(3), repeat=n))
+    axis = st.lists(st.sampled_from(range(3)), min_size=1, unique=True)
+    base = draw(
+        st.one_of(
+            st.just(cube),
+            st.lists(st.sampled_from(cube), min_size=1, unique=True),
+            st.tuples(*[axis] * n).map(lambda f: list(itertools.product(*f))),
+        )
+    )
+    spec = draw(st.one_of(st.just(cube), st.lists(st.sampled_from(cube), min_size=1)))
+    m, k_radius = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    l1 = build_lambda1(spec, m)
+    denom, nums = l1.denominator, list(l1.numerators)
+    kind = draw(st.sampled_from(["as built", "shifted", "repeated", "truncated"]))
+    if kind == "shifted":
+        i = draw(st.integers(0, len(nums) - 1))
+        nums[i] = tuple((v + draw(st.integers(0, denom - 1))) % denom for v in nums[i])
+    elif kind == "repeated":
+        nums.insert(draw(st.integers(0, len(nums))), draw(st.sampled_from(nums)))
+    elif kind == "truncated":
+        nums = nums[: draw(st.integers(0, 2))]
+    per = (2 * k_radius + 1) ** n
+    nums = nums[: max(1, 60 // per)]  # at most 60 frequencies, 1,770 pairs
+    total = len(nums) * per * (len(nums) * per - 1) // 2
+    budget = draw(st.integers(total // 2, total + 5))
+    return build_omega1(base, m), FrequencySet(denom, tuple(nums)), k_radius, budget
+
+
+@settings(deadline=None)
+@given(truncation_cases(), st.integers(0, 3))
+def test_truncation_matches_per_pair_reference(case, seed):
+    o1, l1, k_radius, budget = case
+    result = verify_spectrum_truncation(o1, l1, k_radius, budget, seed)
+    assert result == truncation_reference(o1, l1, k_radius, budget, seed)
 
 
 def test_export_roundtrip(tmp_path, lifted):

@@ -163,6 +163,21 @@ def test_canonical_classes_partition():
     ) for T in covered})
 
 
+@pytest.mark.parametrize(
+    "g",
+    [GroupSpec.cyclic(n) for n in range(2, 13)]
+    + [GroupSpec((2, 2, 2, 2)), GroupSpec((3, 3))],
+    ids=lambda g: "x".join(map(str, g.moduli)),
+)
+def test_size_filter_walks_the_same_classes_in_order(g):
+    # The filtered walk visits only masks of one popcount; it must yield
+    # exactly the full walk's classes of that size, in the same order.
+    classes = list(canonical_classes(g))
+    for size in range(0, g.order + 2):
+        expected = [T for T in classes if len(T) == size]
+        assert list(canonical_classes(g, size)) == expected
+
+
 def test_scan_z4_clean():
     _, summary = fuglede_scan(Z4)
     assert not summary.spectral_non_tiles and not summary.tiles_non_spectral
