@@ -390,7 +390,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (spectra.SearchBudgetExceeded, tiling.CoverBudgetExceeded) as exc:
         code = 3
-        error = {"error": str(exc), "budget": tiling.resolve_node_budget(None)}
+        error = {"error": str(exc), "budget": tiling.resolve_node_budget()}
     except (ValueError, OSError, MemoryError) as exc:
         code, error = 2, {"error": str(exc)}
     # Read from argv, not args, so usage errors are JSON under --json too.

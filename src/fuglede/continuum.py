@@ -18,9 +18,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .lattice import FrequencySet, LatticeSet, character_sum_lattice
+from .groups import integer_rows
+from .lattice import FrequencySet, LatticeSet, Point, character_sum_lattice, int64_rows
 
-Point = tuple[int, ...]
 Pairs = Iterator[tuple[np.ndarray, np.ndarray]]  # blocks of index pairs (i, j)
 _BLOCK = 1 << 12  # pairs decided per numpy block
 
@@ -28,18 +28,24 @@ _BLOCK = 1 << 12  # pairs decided per numpy block
 @dataclass(frozen=True)
 class CubeUnion:
     """A finite union of unit cubes corner + [0,1)^n, disjoint by
-    integrality of the corners."""
+    integrality of the corners: a read-only (count, n) int64 array of
+    distinct rows in lexicographic order."""
 
-    corners: tuple[Point, ...]
+    corners: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.corners:
+        corners = int64_rows(self.corners, "cube corners")
+        if not len(corners):
             raise ValueError("cube union must be nonempty")
-        object.__setattr__(self, "corners", tuple(sorted(set(self.corners))))
+        corners = corners[np.lexsort(corners.T[::-1])]
+        # Sorted rows repeat only next to each other; np.unique(axis=0) is slower.
+        corners = corners[np.r_[True, (corners[1:] != corners[:-1]).any(axis=1)]]
+        corners.flags.writeable = False
+        object.__setattr__(self, "corners", corners)
 
     @property
     def dimension(self) -> int:
-        return len(self.corners[0])
+        return self.corners.shape[1]
 
     @property
     def measure(self) -> int:
@@ -64,7 +70,7 @@ class TruncationResult:
 
 
 def build_omega2(omega1: LatticeSet) -> CubeUnion:
-    return CubeUnion(tuple(map(tuple, omega1.points.tolist())))
+    return CubeUnion(omega1.points)
 
 
 def inner_product_is_zero(
@@ -107,8 +113,8 @@ def verify_spectrum_truncation(
     """
     if k_radius < 0:
         raise ValueError("k_radius must be >= 0")
-    denom, n, numerators = lambda1.denominator, omega1.dimension, lambda1.numerators
-    nums = np.array(numerators, dtype=np.int64).reshape(len(numerators), n)
+    denom, n = lambda1.denominator, omega1.dimension
+    nums = lambda1.rows(n)
     side = 2 * k_radius + 1  # shifts in lexicographic order
     shifts = np.indices((side,) * n).reshape(n, -1).T - k_radius
     per = len(shifts)
@@ -133,10 +139,9 @@ def verify_spectrum_truncation(
         ok[live] = np.array([verdicts[c] for c in codes.tolist()], dtype=bool)[inverse]
         if not ok.all():
             first = int(np.argmin(ok))
-            witness = tuple(
-                ExtendedFrequency(numerators[a], denom, tuple(shifts[s].tolist()))
-                for a, s in (divmod(int(x[first]), per) for x in (i, j))
-            )
+            num, shift = np.divmod([i[first], j[first]], per)
+            ends = zip(*[map(tuple, x.tolist()) for x in (nums[num], shifts[shift])])
+            witness = tuple(ExtendedFrequency(v, denom, k) for v, k in ends)
             return TruncationResult(False, witness, checked + first + 1, sampled)
         checked += len(ok)
     return TruncationResult(True, None, checked, sampled)
@@ -167,10 +172,11 @@ def export_geometry(
     omega2: CubeUnion, lambda1: FrequencySet, path: str | Path
 ) -> None:
     """Byte-stable JSON export: lexicographic corners, sorted keys."""
+    nums = lambda1.numerators.tolist()
     payload = {
         "dimension": omega2.dimension,
-        "cube_corners": [list(c) for c in omega2.corners],
-        "spectrum": lambda1.to_json(),
+        "cube_corners": omega2.corners.tolist(),
+        "spectrum": {"denominator": lambda1.denominator, "numerators": nums},
         "measure": omega2.measure,
     }
     Path(path).write_text(
@@ -179,7 +185,8 @@ def export_geometry(
 
 
 def load_geometry(path: str | Path) -> tuple[CubeUnion, FrequencySet]:
+    """The export read back; ValueError for any entry that is no integer."""
     payload = json.loads(Path(path).read_text())
-    omega2 = CubeUnion(tuple(tuple(c) for c in payload["cube_corners"]))
-    lambda1 = FrequencySet.from_json(payload["spectrum"])
-    return omega2, lambda1
+    nums = integer_rows(payload["spectrum"]["numerators"], "numerators")
+    omega2 = CubeUnion(integer_rows(payload["cube_corners"], "cube corners"))
+    return omega2, FrequencySet(payload["spectrum"]["denominator"], nums)

@@ -187,18 +187,18 @@ def element_set_to_json(T: Iterable[Element]) -> list[list[int]]:
     return [list(x) for x in sorted(T)]
 
 
-def integer_rows(obj, what: str) -> list[tuple[int, ...]]:
-    """obj, a JSON list of lists of integers, as tuples; ValueError for any
-    other shape or for a non-integer entry (a float is not truncated)."""
+def integer_rows(obj, what: str) -> list[list[int]]:
+    """obj, checked to be a JSON list of lists of integers; ValueError for
+    any other shape or for a non-integer entry (a float is not truncated)."""
     if isinstance(obj, list) and all(
         isinstance(row, list) and all(type(c) is int for c in row) for row in obj
     ):
-        return [tuple(row) for row in obj]
+        return obj
     raise ValueError(f"{what} must be a JSON list of lists of integers")
 
 
 def element_set_from_json(g: GroupSpec, obj) -> frozenset[Element]:
-    out = integer_rows(obj, "element set")
+    out = list(map(tuple, integer_rows(obj, "element set")))
     for x in out:
         g.validate(x)
     return frozenset(out)

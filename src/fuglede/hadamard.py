@@ -45,7 +45,7 @@ class ButsonMatrix:
         """Accepts only {"q": integer, "logs": list of integer lists}."""
         if not isinstance(obj, dict) or type(obj.get("q")) is not int:
             raise ValueError('matrix JSON must be an object with an integer "q"')
-        return cls(obj["q"], tuple(integer_rows(obj.get("logs"), '"logs"')))
+        return cls(obj["q"], integer_rows(obj.get("logs"), '"logs"'))
 
 
 @dataclass(frozen=True)

@@ -49,32 +49,36 @@ class LatticeSet:
         return pts
 
 
+def int64_rows(rows, what: str) -> np.ndarray:
+    """A read-only 2-D int64 copy of rows, (0, 0) if empty; ValueError unless
+    every entry is an integer that int64 holds exactly."""
+    out = np.array(rows) if len(rows) else np.zeros((0, 0), dtype=np.int64)
+    if out.ndim != 2 or out.size and not np.can_cast(out.dtype, np.int64):
+        raise ValueError(f"{what} must be rows of integers")
+    out = out.astype(np.int64, copy=False)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class FrequencySet:
-    """Rational frequency vectors mod 1 with a common denominator."""
+    """Rational frequency vectors mod 1 with a common denominator; the
+    numerators are a read-only (count, n) int64 array, one row each."""
 
     denominator: int
-    numerators: tuple[Point, ...]
+    numerators: np.ndarray
 
     def __post_init__(self) -> None:
-        if any(
-            not all(0 <= v < self.denominator for v in num)
-            for num in self.numerators
-        ):
-            raise ValueError("numerators must be reduced mod the denominator")
+        nums, denom = int64_rows(self.numerators, "numerators"), self.denominator
+        if type(denom) is not int or ((nums < 0) | (nums >= denom)).any():
+            raise ValueError("numerators must be reduced mod an integer denominator")
+        object.__setattr__(self, "numerators", nums)
 
-    def to_json(self) -> dict:
-        return {
-            "denominator": self.denominator,
-            "numerators": [list(n) for n in self.numerators],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> FrequencySet:
-        return cls(
-            int(obj["denominator"]),
-            tuple(tuple(int(v) for v in n) for n in obj["numerators"]),
-        )
+    def rows(self, n: int) -> np.ndarray:
+        """The numerators, checked to have n coordinates unless empty."""
+        if len(self.numerators) and self.numerators.shape[1] != n:
+            raise ValueError(f"frequencies must have {n} coordinates")
+        return self.numerators
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ def build_lambda1(base_spec: Iterable[Point], m_scale: int) -> FrequencySet:
     numerators, since l = v mod M and xi = v // M."""
     xi = np.array(_checked_base(base_spec, "base spectrum"), dtype=np.int64)
     nums = _lift(m_scale * xi, m_scale, 1)
-    return FrequencySet(3 * m_scale, tuple(sorted(map(tuple, nums.tolist()))))
+    return FrequencySet(3 * m_scale, nums[np.lexsort(nums.T[::-1])])
 
 
 def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
@@ -132,7 +136,7 @@ def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarra
     denom, n, count = lambda1.denominator, omega1.dimension, len(lambda1.numerators)
     if not 1 <= denom <= MAX_ORDER:  # before the denom^n table is allocated
         raise ValueError(f"unsupported root order {denom}")
-    nums, shape = np.asarray(lambda1.numerators, dtype=np.int64), (denom,) * n
+    nums, shape = lambda1.rows(n), (denom,) * n
     # The code of d is sum_k d_k * denom^(n-1-k), its index in the table.
     # terms[k][a, j] is the axis-k term of the code of (nums[j] - a) mod denom,
     # so a row's codes are n slices added, with no per-row modulo.
@@ -169,10 +173,10 @@ def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndar
     """Same verdicts via the factorization: the geometric sum over the cell
     index vanishes whenever the l parts differ; otherwise xi - xi' decides,
     by membership in the Fourier zero set of the base in Z_3^n."""
-    m_scale = omega1.m
-    zero_set = fourier_zero_set(GroupSpec.power(3, omega1.dimension), omega1.base)
+    m_scale, n = omega1.m, omega1.dimension
+    zero_set = fourier_zero_set(GroupSpec.power(3, n), omega1.base)
     out = []
-    for ni, nj in itertools.combinations(lambda1.numerators, 2):
+    for ni, nj in itertools.combinations(lambda1.rows(n).tolist(), 2):
         if any((vj - vi) % m_scale for vi, vj in zip(ni, nj)):  # l parts differ
             out.append(True)
         else:
@@ -189,9 +193,9 @@ def verify_ortho_lattice(omega1: LatticeSet, lambda1: FrequencySet) -> OrthoResu
     if bool(verdicts.all()):
         return OrthoResult(True, pairs=len(verdicts))
     # Verdicts are in itertools.combinations order: (0,1), (0,2), ..., (1,2), ...
-    pairs = itertools.combinations(lambda1.numerators, 2)
+    pairs = itertools.combinations(lambda1.numerators.tolist(), 2)
     witness = next(itertools.islice(pairs, int(np.argmin(verdicts)), None))
-    return OrthoResult(False, witness=witness, pairs=len(verdicts))
+    return OrthoResult(False, tuple(map(tuple, witness)), len(verdicts))
 
 
 def character_sum_lattice(

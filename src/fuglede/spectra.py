@@ -70,11 +70,7 @@ def is_spectrum(
     return SpectrumVerification(False, witness, "non-orthogonal pair")
 
 
-def find_spectrum(
-    g: GroupSpec,
-    T: Iterable[Element],
-    node_budget: Optional[int] = None,
-) -> SpectrumSearch:
+def find_spectrum(g: GroupSpec, T: Iterable[Element]) -> SpectrumSearch:
     """Branch-and-bound search for a spectrum of T, deterministic.
 
     Vertices are the elements of Z(T) (the neighbors of 0); a spectrum of
@@ -86,7 +82,7 @@ def find_spectrum(
         raise ValueError("T must be nonempty")
     if len(T) > MAX_SPECTRUM_SIZE:
         raise ValueError(f"set of size {len(T)} beyond search limit")
-    budget = tiling.resolve_node_budget(node_budget)
+    budget = tiling.resolve_node_budget()
     need = len(T) - 1  # clique size besides 0
     if need == 0:
         return SpectrumSearch(True, (g.identity(),), 0)

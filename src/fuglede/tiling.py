@@ -25,11 +25,8 @@ class CoverBudgetExceeded(RuntimeError):
     """Exact-cover node budget exhausted before a definite verdict."""
 
 
-def resolve_node_budget(node_budget: Optional[int]) -> int:
-    """The search node budget: an explicit value wins, then the
-    FUGLEDE_BUDGET environment variable, then the default."""
-    if node_budget is not None:
-        return node_budget
+def resolve_node_budget() -> int:
+    """The search node budget: FUGLEDE_BUDGET if set, else the default."""
     return int(os.environ.get("FUGLEDE_BUDGET", DEFAULT_NODE_BUDGET))
 
 
@@ -114,11 +111,7 @@ def _uncover(X, Y, row, removed):
                         X[c2].add(other)
 
 
-def find_tiling(
-    g: GroupSpec,
-    T: Iterable[Element],
-    node_budget: Optional[int] = None,
-) -> TilingResult:
+def find_tiling(g: GroupSpec, T: Iterable[Element]) -> TilingResult:
     """Decide whether T tiles G, with a certificate either way.
 
     The translate at 0 is forced into the complement first (tilings are
@@ -131,7 +124,7 @@ def find_tiling(
         return TilingResult(False, obstruction=obstruction)
     if g.order > COVER_ORDER_LIMIT:
         raise ValueError(f"group of order {g.order} beyond cover search")
-    budget = resolve_node_budget(node_budget)
+    budget = resolve_node_budget()
 
     # Row t covers the ranks Y[t] of t + T; column c is covered by the rows
     # X[c], #T of them, found by sorting the flattened Y.

@@ -297,6 +297,8 @@ GOLDEN_STDOUT = {
     "density --m 4 --l 6 --stride 3": "f65316fb421c02b6b086d09e32b770bbc74cbd7a64e8ecd758f2a507b96f334f",
 }
 GOLDEN_EXPORT_M2 = "3b84a355593fa3f82c736b3496728bfc04258dfafe4ba9b4d39d9c50c2e233f1"
+# 6,144 cubes; two-digit coordinates and numerators (up to 11) pin the order.
+GOLDEN_EXPORT_M4 = "2042686ab4ab3c20c86e89d202abf244536f8788c139068f4c8810ffee70105b"
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
@@ -308,6 +310,7 @@ def test_json_stdout_bytes_are_pinned(capsys, command):
 
 def test_export_file_bytes_are_pinned(capsys, tmp_path):
     path = tmp_path / "geometry.json"
-    code, _ = run(capsys, "--json", "export", "--m", "2", "--out", str(path))
-    assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_EXPORT_M2
+    for m, golden in (("2", GOLDEN_EXPORT_M2), ("4", GOLDEN_EXPORT_M4)):
+        code, _ = run(capsys, "--json", "export", "--m", m, "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == golden

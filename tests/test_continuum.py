@@ -106,7 +106,7 @@ def test_truncation_k1_sampled(lifted):
 
 def test_truncation_detects_corruption(lifted):
     o1, l1 = lifted
-    nums = list(l1.numerators)
+    nums = list(map(tuple, l1.numerators.tolist()))
     for i in range(len(nums)):
         cand = nums[i][:4] + ((nums[i][4] + 1) % 6,)
         if cand not in nums:
@@ -117,6 +117,12 @@ def test_truncation_detects_corruption(lifted):
     assert not result.valid and result.witness is not None
 
 
+def test_truncation_rejects_frequencies_of_another_dimension(lifted):
+    o1, _ = lifted
+    with pytest.raises(ValueError, match="must have 5 coordinates"):
+        verify_spectrum_truncation(o1, FrequencySet(6, ((0, 0, 0), (1, 0, 0))), 0)
+
+
 def truncation_reference(o1, l1, k_radius, pair_budget, seed=0):
     """Per-pair loop over the truncated spectrum: the same pair order and
     rng draws as verify_spectrum_truncation, one inner_product_is_zero call
@@ -125,7 +131,8 @@ def truncation_reference(o1, l1, k_radius, pair_budget, seed=0):
     denom = l1.denominator
     radius = range(-k_radius, k_radius + 1)
     shifts = list(itertools.product(radius, repeat=o1.dimension))
-    freqs = [ExtendedFrequency(b, denom, k) for b in l1.numerators for k in shifts]
+    nums = list(map(tuple, l1.numerators.tolist()))
+    freqs = [ExtendedFrequency(b, denom, k) for b in nums for k in shifts]
     count = len(freqs)
 
     def orthogonal(a, b):
@@ -159,7 +166,7 @@ def test_repeated_frequency_fails_like_the_lattice_route(lifted):
     # a repeated numerator fails at the first failing pair of the lattice
     # route instead of raising on eta = 0.
     o1, l1 = lifted
-    nums = l1.numerators
+    nums = list(map(tuple, l1.numerators.tolist()))
     bad = FrequencySet(6, nums[:98] + nums[97:98] + nums[99:])
     result = verify_spectrum_truncation(o1, bad, 0)
     ortho = verify_ortho_lattice(o1, bad)
@@ -171,7 +178,7 @@ def test_repeated_frequency_fails_like_the_lattice_route(lifted):
 
 def test_repeated_frequency_fails_at_k1_full_pass():
     o1, l1 = lifted_pair(1)
-    nums = l1.numerators
+    nums = list(map(tuple, l1.numerators.tolist()))
     bad = FrequencySet(3, nums[:4] + nums[3:4] + nums[4:])
     per, count = 3**5, 7 * 3**5
     result = verify_spectrum_truncation(o1, bad, 1, pair_budget=count * count)
@@ -189,7 +196,7 @@ def test_repeated_frequency_fails_at_k1_full_pass():
 def test_repeated_frequency_fails_in_the_sample(m, k_radius, budget):
     # Every numerator twice, so the sample draws some eta = 0 pair.
     o1, l1 = lifted_pair(m)
-    bad = FrequencySet(l1.denominator, l1.numerators * 2)
+    bad = FrequencySet(l1.denominator, list(map(tuple, l1.numerators.tolist())) * 2)
     result = verify_spectrum_truncation(o1, bad, k_radius, pair_budget=budget)
     assert result.sampled and not result.valid
     assert result.witness[0] == result.witness[1]
@@ -215,7 +222,7 @@ def truncation_cases(draw):
     spec = draw(st.one_of(st.just(cube), st.lists(st.sampled_from(cube), min_size=1)))
     m, k_radius = draw(st.integers(1, 2)), draw(st.integers(0, 1))
     l1 = build_lambda1(spec, m)
-    denom, nums = l1.denominator, list(l1.numerators)
+    denom, nums = l1.denominator, list(map(tuple, l1.numerators.tolist()))
     kind = draw(st.sampled_from(["as built", "shifted", "repeated", "truncated"]))
     if kind == "shifted":
         i = draw(st.integers(0, len(nums) - 1))
@@ -249,10 +256,61 @@ def test_export_roundtrip(tmp_path, lifted):
     assert payload["measure"] == 192
     assert len(payload["cube_corners"]) == 192
     o2b, l1b = load_geometry(path)
-    assert o2b == o2 and l1b == l1
+    assert np.array_equal(o2b.corners, o2.corners)
+    assert l1b.denominator == l1.denominator
+    assert np.array_equal(l1b.numerators, l1.numerators)
     # byte stability
     export_geometry(o2b, l1b, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_point_sets_are_read_only_int64_arrays(lifted):
+    o1, l1 = lifted
+    o2 = build_omega2(o1)
+    for rows in (l1.numerators, o2.corners):
+        assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == 5
+        assert not rows.flags.writeable
+    # Corners: distinct rows in lexicographic order, whatever the input order.
+    union = CubeUnion([(1, 0), (0, 5), (1, 0), (0, 2)])
+    assert union.corners.tolist() == [[0, 2], [0, 5], [1, 0]] and union.measure == 3
+    assert FrequencySet(3, ()).numerators.shape == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FrequencySet(3, ((0,) * 5, (1, 0))),  # ragged
+        lambda: FrequencySet(3, np.array([[0.7, 0.0]])),  # a float is not truncated
+        lambda: FrequencySet(3.0, ((0, 1),)),
+        lambda: CubeUnion(((0, 1.9), (0.5, 1))),
+    ],
+    ids=["ragged", "float-numerator", "float-denominator", "float-corner"],
+)
+def test_point_sets_reject_non_integer_rows(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("cube_corners", [[0, 1.9], [0.5, 1]]),
+        ("cube_corners", [[0, 1], [1]]),
+        ("numerators", [[0, 0, 0, 0, 0.7]]),
+        ("numerators", "00000"),
+        ("denominator", 6.5),
+    ],
+    ids=["float-corner", "ragged-corners", "float-numerator", "string", "float-denom"],
+)
+def test_load_geometry_rejects_non_integer_entries(tmp_path, lifted, key, value):
+    o1, l1 = lifted
+    path = tmp_path / "geometry.json"
+    export_geometry(build_omega2(o1), l1, path)
+    payload = json.loads(path.read_text())
+    (payload if key == "cube_corners" else payload["spectrum"])[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        load_geometry(path)
 
 
 def test_export_m1_matches_base(tmp_path):

@@ -77,7 +77,7 @@ def test_build_lambda1_sizes(z3_5_pair):
     l2 = build_lambda1(L5, 2)
     assert l2.denominator == 6 and len(l2.numerators) == 192
     grid = build_lambda1({(0, 0, 0)}, 2)
-    assert set(grid.numerators) == {
+    assert set(map(tuple, grid.numerators.tolist())) == {
         (a, b, c) for a in range(2) for b in range(2) for c in range(2)
     }
 
@@ -109,7 +109,7 @@ def test_perturbed_spectrum_invalid_with_witness(z3_5_pair):
     T5, L5 = z3_5_pair
     o1 = build_omega1(T5, 2)
     l1 = build_lambda1(L5, 2)
-    nums = l1.numerators
+    nums = list(map(tuple, l1.numerators.tolist()))
     # a repeated frequency: the first bad pair (97, 98) opens its row
     bad_sets = [nums[:98] + nums[97:98] + nums[99:]]
     for start in (0, 97, 190):
@@ -143,6 +143,18 @@ def test_direct_rejects_order_above_max_before_allocating(z3_5_pair):
     with pytest.raises(ValueError, match="unsupported root order 65"):
         pair_verdicts_direct(o1, bad)
     assert "points" not in vars(o1)
+
+
+@pytest.mark.parametrize("width", [3, 6])
+@pytest.mark.parametrize(
+    "route", [verify_ortho_lattice, pair_verdicts_direct, pair_verdicts_factored]
+)
+def test_frequency_rows_must_match_the_dimension(z3_5_pair, width, route):
+    # Rows narrower or wider than the lifted set raise; zip must not cut them.
+    T5, _ = z3_5_pair
+    rows = [(0,) * width, (1,) + (0,) * (width - 1), (0, 1) + (0,) * (width - 2)]
+    with pytest.raises(ValueError, match="must have 5 coordinates"):
+        route(build_omega1(T5, 1), FrequencySet(3, rows))
 
 
 def test_direct_sums_once_per_galois_orbit(z3_5_pair, monkeypatch):
@@ -186,7 +198,7 @@ def perturbed_frequency_sets(draw):
     spec = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=4, unique=True))
     m = draw(st.integers(1, 2))
     l1 = build_lambda1(spec, m)
-    denom, nums = l1.denominator, list(l1.numerators)
+    denom, nums = l1.denominator, list(map(tuple, l1.numerators.tolist()))
     kind = draw(st.sampled_from(["shifted", "repeated", "truncated"]))
     if kind == "shifted":
         shift = [draw(st.integers(0, denom - 1)) for _ in range(n)]
@@ -204,12 +216,13 @@ def perturbed_frequency_sets(draw):
 @given(perturbed_frequency_sets())
 def test_direct_matches_per_pair_sums_and_factored(sets):
     o1, l1 = sets
+    nums = list(map(tuple, l1.numerators.tolist()))
     reference = np.array(
         [
             character_sum_lattice(
                 o1, tuple(np.subtract(nj, ni)), l1.denominator
             ).is_zero()
-            for ni, nj in itertools.combinations(l1.numerators, 2)
+            for ni, nj in itertools.combinations(nums, 2)
         ],
         dtype=bool,
     )
@@ -221,7 +234,7 @@ def test_direct_matches_per_pair_sums_and_factored(sets):
     assert result.valid == bool(reference.all())
     assert result.pairs == len(reference)
     if not result.valid:
-        pairs = list(itertools.combinations(l1.numerators, 2))
+        pairs = list(itertools.combinations(nums, 2))
         assert result.witness == pairs[int(np.argmin(reference))]
 
 

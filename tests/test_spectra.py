@@ -110,9 +110,10 @@ def test_find_spectrum_roundtrip_z3_5():
     assert is_spectrum(g5, T5, result.spectrum).valid
 
 
-def test_find_spectrum_budget_exceeded_is_distinct():
+def test_find_spectrum_budget_exceeded_is_distinct(monkeypatch):
+    monkeypatch.setenv("FUGLEDE_BUDGET", "0")
     with pytest.raises(SearchBudgetExceeded):
-        find_spectrum(Z4, {(0,), (1,)}, node_budget=0)
+        find_spectrum(Z4, {(0,), (1,)})
 
 
 def test_find_spectrum_agrees_with_exhaustive_small():

@@ -120,11 +120,12 @@ def test_find_tiling_agrees_with_brute_force(moduli):
         assert find_tiling(g, T).tiles == brute_force_tiles(g, T)
 
 
-def test_budget_exceeded_is_distinct():
+def test_budget_exceeded_is_distinct(monkeypatch):
+    monkeypatch.setenv("FUGLEDE_BUDGET", "0")
     g = GroupSpec.cyclic(12)
     T = frozenset({(0,), (1,), (2,), (3,)})
     with pytest.raises(CoverBudgetExceeded):
-        find_tiling(g, T, node_budget=0)
+        find_tiling(g, T)
 
 
 def test_empty_set_rejected():
