@@ -10,17 +10,21 @@ and the scan work on element ranks; tuples appear only in results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress, islice
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .cyclotomic import first_nonvanishing_pair, vanishing_sums
+from .cyclotomic import first_nonvanishing_pair, vanishing, vanishing_sums
 from .groups import Element, GroupSpec
 from . import tiling
 
 MAX_SPECTRUM_SIZE = 64
 # canonical_classes walks 2^(order - 1) masks: 2^23 at this limit.
 SCAN_ORDER_LIMIT = 24
+_MASK_BLOCK = 1 << 10  # masks per canonical test in canonical_classes
+_CLASS_BLOCK = 128  # classes per membership block, and per zero-row call
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -70,12 +74,15 @@ def is_spectrum(
     return SpectrumVerification(False, witness, "non-orthogonal pair")
 
 
-def find_spectrum(g: GroupSpec, T: Iterable[Element]) -> SpectrumSearch:
+def find_spectrum(
+    g: GroupSpec, T: Iterable[Element], zero: Optional[np.ndarray] = None
+) -> SpectrumSearch:
     """Branch-and-bound search for a spectrum of T, deterministic.
 
     Vertices are the elements of Z(T) (the neighbors of 0); a spectrum of
     size #T exists iff some (#T - 1)-clique lives among them with all
-    pairwise differences in Z(T).
+    pairwise differences in Z(T).  zero is Z(T) as a bool row over ranks,
+    computed here when the caller does not already have it.
     """
     T = frozenset(T)
     if not T:
@@ -87,7 +94,8 @@ def find_spectrum(g: GroupSpec, T: Iterable[Element]) -> SpectrumSearch:
     if need == 0:
         return SpectrumSearch(True, (g.identity(),), 0)
 
-    zero = vanishing_sums(g.pairing_points(T), g.coords, g.exponent)  # Z(T) by rank
+    if zero is None:
+        zero = vanishing_sums(g.pairing_points(T), g.coords, g.exponent)
     zset = np.flatnonzero(zero)
     if len(zset) < need:
         return SpectrumSearch(False, None, 0)
@@ -183,34 +191,60 @@ def canonical_classes(
     read over element ranks.  With a size filter only the masks of that
     popcount are walked, in the same increasing order.
     """
+    for classes, _ in _class_blocks(g, size_filter):
+        yield from classes
+
+
+def _class_blocks(
+    g: GroupSpec, size_filter: Optional[int]
+) -> Iterator[tuple[list[frozenset[Element]], np.ndarray]]:
+    """The canonical classes in increasing mask order, at most _CLASS_BLOCK
+    per block, with their bool membership rows over ranks.
+
+    A mask containing 0 is canonical when no translate by -x, x in the
+    mask, has a smaller mask.  The translates of a whole block of masks
+    are permuted a byte at a time through lookup tables: table[x, j][b]
+    is the mask of {r - x : r in 8j + bits of b}.
+    """
     n = g.order
     if n > SCAN_ORDER_LIMIT:
         raise ValueError(
             f"group of order {n} beyond subset enumeration (limit {SCAN_ORDER_LIMIT})"
         )
-    coords = g.coords
-    elements = list(map(tuple, coords.tolist()))  # shared by all classes
-    # sub_table[x][r] = rank of (element r) - (element x)
-    diffs = (coords - coords[:, None]) % g.moduli
-    sub_table = g.ranks(diffs.reshape(-1, g.ndim)).reshape(n, n).tolist()
+    elements = list(map(tuple, g.coords.tolist()))  # shared by all classes
+    nbytes = (n + 7) // 8
+    # moved[x, r] = mask bit of (element r) - (element x); 0 past the order.
+    diffs = (g.coords - g.coords[:, None]) % g.moduli
+    moved = np.zeros((n, 8 * nbytes), dtype=np.int64)
+    moved[:, :n] = 1 << g.ranks(diffs.reshape(-1, g.ndim)).reshape(n, n)
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    table = moved.reshape(n, nbytes, 8) @ byte_bits.T  # (n, nbytes, 256)
     if size_filter is None:
-        bodies: Iterable[int] = range(1 << (n - 1))
+        bodies: Iterator[int] = iter(range(1 << (n - 1)))
     else:
         bodies = _masks_with_popcount(n - 1, size_filter - 1)
-    for body in bodies:
-        mask = (body << 1) | 1  # subsets containing 0
-        bits = [r for r in range(n) if mask >> r & 1]
-        canonical = mask
-        for x in bits[1:]:
-            row = sub_table[x]
-            shifted = 0
-            for r in bits:
-                shifted |= 1 << row[r]
-            if shifted < canonical:
-                canonical = shifted
-                break
-        if canonical == mask:
-            yield frozenset(elements[r] for r in bits)
+    ranks = np.arange(n)
+    while len(block := np.fromiter(islice(bodies, _MASK_BLOCK), dtype=np.int64)):
+        masks = (block << 1) | 1  # subsets containing 0
+        member = (masks[:, None] >> ranks & 1).astype(bool)
+        shifted = np.zeros((n, len(masks)), dtype=np.int64)
+        for j in range(nbytes):
+            shifted |= table[:, j][:, (masks >> 8 * j) & 255]
+        # Only translates by -x for x in the mask count; x = 0 changes nothing.
+        member = member[~(member.T & (shifted < masks)).any(axis=0)]
+        for lo in range(0, len(member), _CLASS_BLOCK):
+            chunk = member[lo : lo + _CLASS_BLOCK]
+            yield [frozenset(compress(elements, row)) for row in chunk.tolist()], chunk
+
+
+@lru_cache(maxsize=None)
+def _pairing_onehot(g: GroupSpec) -> np.ndarray:
+    """(order, order * m) int64, m the exponent: entry [x, d*m + k] is 1
+    iff pairing(d, x) = k, so membership rows times it count the roots of
+    every character sum of each set."""
+    n, m = g.order, g.exponent
+    exps = g.pairing_points(g.coords) @ g.coords.T % m  # exps[x, d]
+    return (exps[:, :, None] == np.arange(m)).reshape(n, n * m).astype(np.int64)
 
 
 def _masks_with_popcount(width: int, ones: int) -> Iterator[int]:
@@ -224,8 +258,10 @@ def _masks_with_popcount(width: int, ones: int) -> Iterator[int]:
         mask = (((mask + low) ^ mask) >> 2) // low | (mask + low)
 
 
-def scan_class(g: GroupSpec, T: frozenset[Element]) -> ScanRecord:
-    spec = find_spectrum(g, T)
+def scan_class(
+    g: GroupSpec, T: frozenset[Element], zero: Optional[np.ndarray] = None
+) -> ScanRecord:
+    spec = find_spectrum(g, T, zero)
     tile = tiling.find_tiling(g, T)
     return ScanRecord(
         elements=tuple(sorted(T)),  # rank order is lexicographic order
@@ -244,12 +280,16 @@ def fuglede_scan(
     subset classes and collect counterexamples."""
     records = []
     summary = ScanSummary()
-    for T in canonical_classes(g, size_filter):
-        rec = scan_class(g, T)
-        records.append(rec)
-        summary.classes += 1
-        if rec.spectral and not rec.tiles:
-            summary.spectral_non_tiles.append(rec.elements)
-        if rec.tiles and not rec.spectral:
-            summary.tiles_non_spectral.append(rec.elements)
+    for classes, member in _class_blocks(g, size_filter):
+        # Z(T) of the whole block from one kernel call; the sum at 0 is #T.
+        counts = member @ _pairing_onehot(g)
+        zeros = vanishing(counts.reshape(len(member), g.order, g.exponent))
+        for T, zero in zip(classes, zeros):
+            rec = scan_class(g, T, zero)
+            records.append(rec)
+            summary.classes += 1
+            if rec.spectral and not rec.tiles:
+                summary.spectral_non_tiles.append(rec.elements)
+            if rec.tiles and not rec.spectral:
+                summary.tiles_non_spectral.append(rec.elements)
     return records, summary

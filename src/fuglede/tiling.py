@@ -26,8 +26,12 @@ class CoverBudgetExceeded(RuntimeError):
 
 
 def resolve_node_budget() -> int:
-    """The search node budget: FUGLEDE_BUDGET if set, else the default."""
-    return int(os.environ.get("FUGLEDE_BUDGET", DEFAULT_NODE_BUDGET))
+    """The search node budget: FUGLEDE_BUDGET if set, else the default.
+    A value that is not a non-negative integer raises ValueError."""
+    text = os.environ.get("FUGLEDE_BUDGET", str(DEFAULT_NODE_BUDGET))
+    if not text.strip().isdecimal():
+        raise ValueError(f"FUGLEDE_BUDGET must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)

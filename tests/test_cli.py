@@ -260,6 +260,18 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
         ),
         (None, ["verify", "--matrix", "no_q.json"], 2, 'integer "q"'),
         (None, ["verify", "--matrix", "list.json"], 2, 'integer "q"'),
+        (
+            "-5",
+            ["scan", "4"],
+            2,
+            "FUGLEDE_BUDGET must be a non-negative integer, got '-5'",
+        ),
+        (
+            "abc",
+            ["scan", "4"],
+            2,
+            "FUGLEDE_BUDGET must be a non-negative integer, got 'abc'",
+        ),
     ],
 )
 def test_failures_exit_cleanly_with_json(
@@ -286,6 +298,8 @@ GOLDEN_STDOUT = {
     "counterexample z2-12": "2d3a318044205396c833894816938fb356ec8cf54daad37ab471237c0cdaa38e",
     "counterexample z2-11": "e7c260f9d2b5af4b4de8d5d9e2d4b22fc76f49f6c965ff775f8682f9db8c1c11",
     "scan 12": "016e424036f29cb52da5afb2f37ccd1dd9340ba41866ba7f657a3e7c610f0c44",
+    "scan 15": "399816b5fca1f96bb303def0e4b6c99ec74cf4a6dcc7604a84e2f100272681e9",
+    "scan 16 --size 4": "061b683fa91823d8b2fae614f15603088bacc9f8fe49370a8bfba39d1abd305f",
     "scan 2^4": "261536e3206c3cc0d660652348c15b9ebc37bef1e36ba9a88cb64f2f6168ac8e",
     "scan 3x3": "0ecf9f18138d299284cf68288a2a0208ed7cb34f8adfa762c66721c4594ba26f",
     "scan 2x4": "e1c5281346cb5a4cdbeb5ee927afbe25de8959e95b356c5a6f165989e4a47299",

@@ -2,12 +2,14 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fuglede.groups import GroupSpec
 from fuglede.hadamard import descend, paper_h6, paper_h12, spectrum_from_butson
+from fuglede import spectra
 from fuglede.spectra import (
     SearchBudgetExceeded,
     canonical_classes,
@@ -177,6 +179,77 @@ def test_size_filter_walks_the_same_classes_in_order(g):
     for size in range(0, g.order + 2):
         expected = [T for T in classes if len(T) == size]
         assert list(canonical_classes(g, size)) == expected
+
+
+def classes_by_definition(g):
+    """Every subset containing 0 whose rank mask is the least over its
+    translates that contain 0, in increasing mask order, by brute force."""
+    elems = [g.unrank(r) for r in range(g.order)]
+    # minus[x][y] = rank of y - x, from the scalar group arithmetic.
+    minus = [[g.rank(g.sub(y, x)) for y in elems] for x in elems]
+    out = []
+    for body in range(1 << (g.order - 1)):
+        ranks = [0] + [r + 1 for r in range(g.order - 1) if body >> r & 1]
+        mask = (body << 1) | 1
+        if all(sum(1 << minus[x][y] for y in ranks) >= mask for x in ranks):
+            out.append(frozenset(elems[r] for r in ranks))
+    return out
+
+
+DEFINITION_GROUPS = ["4", "6", "8", "12", "2^3", "3x3", "2x4", "2^4"]
+
+
+@pytest.mark.parametrize("blocks", ["default", "small"])
+@pytest.mark.parametrize("descriptor", DEFINITION_GROUPS)
+def test_canonical_classes_match_definition(monkeypatch, descriptor, blocks):
+    # Small blocks make every group cross mask and class block boundaries.
+    if blocks == "small":
+        monkeypatch.setattr(spectra, "_MASK_BLOCK", 7)
+        monkeypatch.setattr(spectra, "_CLASS_BLOCK", 3)
+    g = GroupSpec.from_descriptor(descriptor)
+    expected = classes_by_definition(g)
+    assert list(canonical_classes(g)) == expected
+    for size in range(1, g.order + 1):
+        assert list(canonical_classes(g, size)) == [
+            T for T in expected if len(T) == size
+        ]
+
+
+@pytest.mark.parametrize("blocks", ["default", "small"])
+@pytest.mark.parametrize("descriptor", DEFINITION_GROUPS)
+def test_size_filtered_scan_matches_full_scan(monkeypatch, descriptor, blocks):
+    if blocks == "small":
+        monkeypatch.setattr(spectra, "_MASK_BLOCK", 7)
+        monkeypatch.setattr(spectra, "_CLASS_BLOCK", 3)
+    g = GroupSpec.from_descriptor(descriptor)
+    records, _ = fuglede_scan(g)
+    for size in range(1, g.order + 1):
+        assert fuglede_scan(g, size_filter=size)[0] == [
+            rec for rec in records if len(rec.elements) == size
+        ]
+
+
+@pytest.mark.parametrize("descriptor", ["15", "2^4", "3x3", "12"])
+def test_scan_zero_rows_match_fourier_zero_set(monkeypatch, descriptor):
+    """The scan hands each class its block-computed Z(T) row; the row must
+    be the rank mask of fourier_zero_set, and searching with it must give
+    the same result, node count included, as searching without it."""
+    g = GroupSpec.from_descriptor(descriptor)
+    search = spectra.find_spectrum
+    seen = []
+
+    def recording(g, T, zero=None):
+        seen.append((T, zero))
+        return search(g, T, zero)
+
+    monkeypatch.setattr(spectra, "find_spectrum", recording)
+    records, _ = fuglede_scan(g)
+    assert [frozenset(rec.elements) for rec in records] == [T for T, _ in seen]
+    for T, zero in seen:
+        expected = np.zeros(g.order, dtype=bool)
+        expected[g.ranks(sorted(fourier_zero_set(g, T)))] = True
+        assert zero.dtype == bool and zero.tolist() == expected.tolist()
+        assert search(g, T, zero) == search(g, T)
 
 
 def test_scan_z4_clean():

@@ -9,6 +9,7 @@ from fuglede.tiling import (
     cover_defect,
     divisibility_check,
     find_tiling,
+    resolve_node_budget,
     verify_tiling,
 )
 
@@ -126,6 +127,15 @@ def test_budget_exceeded_is_distinct(monkeypatch):
     T = frozenset({(0,), (1,), (2,), (3,)})
     with pytest.raises(CoverBudgetExceeded):
         find_tiling(g, T)
+
+
+@pytest.mark.parametrize("text", ["-5", "abc", "1.5", ""])
+def test_bad_budget_is_bad_input(monkeypatch, text):
+    monkeypatch.setenv("FUGLEDE_BUDGET", text)
+    with pytest.raises(ValueError, match="must be a non-negative integer"):
+        resolve_node_budget()
+    with pytest.raises(ValueError, match="must be a non-negative integer"):
+        find_tiling(Z4, {(0,)})
 
 
 def test_empty_set_rejected():
