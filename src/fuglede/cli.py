@@ -4,7 +4,8 @@ groups, verify user-supplied certificates, export geometry.
 Exit status: 0 when every verification in the invoked pipeline passes,
 1 when one fails, 2 on bad input or out of memory, 3 when a search node
 budget runs out.  With --json the output is deterministic machine-readable
-JSON on every path, including failures.
+JSON on every path, including failures.  On exit 3, scan has already
+printed the records it made before the budget ran out.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ def cmd_counterexample(args) -> int:
         )
     elif args.variant == "continuum":
         omega1, lambda1 = _lifted_pair(args.m)
-        omega2 = continuum.build_omega2(omega1)
         result = continuum.verify_spectrum_truncation(
             omega1, lambda1, args.k_radius, pair_budget=args.pair_budget
         )
@@ -138,7 +138,8 @@ def cmd_counterexample(args) -> int:
             {
                 "m": args.m,
                 "k_radius": args.k_radius,
-                "measure": omega2.measure,
+                # Omega_2 has one unit cube per lifted point, all distinct.
+                "measure": len(omega1.points),
                 "pairs_checked": result.pairs_checked,
                 "sampled": result.sampled,
             }
@@ -155,38 +156,29 @@ def cmd_counterexample(args) -> int:
     lines = [
         f"{'PASS' if passed else 'FAIL'}  {desc}" for desc, passed, _ in checks
     ]
-    lines.append("all checks passed" if ok else _first_failure(checks))
+    failures = (f"FAILED at {op}: {desc}" for desc, passed, op in checks if not passed)
+    lines.append(next(failures, "all checks passed"))
     _emit(args, payload, lines)
     return 0 if ok else 1
-
-
-def _first_failure(checks) -> str:
-    for desc, passed, op in checks:
-        if not passed:
-            return f"FAILED at {op}: {desc}"
-    return "all checks passed"
 
 
 def cmd_scan(args) -> int:
     g = GroupSpec.from_descriptor(args.group)
     if args.size is not None and args.size > g.order:
         raise ValueError(f"--size {args.size} exceeds the group order {g.order}")
-    records, summary = spectra.fuglede_scan(g, size_filter=args.size)
-    if args.json:
-        for rec in records:
+    summary = spectra.ScanSummary()
+    for rec in spectra.scan_records(g, size_filter=args.size):
+        summary.add(rec)
+        if args.json:
             print(json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":")))
-        print(json.dumps(summary.to_json(), sort_keys=True, separators=(",", ":")))
-    else:
-        for rec in records:
-            print(
-                f"set {sorted(rec.elements)}: spectral={rec.spectral} "
-                f"tiles={rec.tiles}"
-            )
-        print(
-            f"scanned {summary.classes} classes of Z_{g}: "
-            f"{len(summary.spectral_non_tiles)} spectral non-tiles, "
-            f"{len(summary.tiles_non_spectral)} tiles non-spectral"
-        )
+        else:
+            print(f"set {list(rec.elements)}: spectral={rec.spectral} tiles={rec.tiles}")
+    line = (
+        f"scanned {summary.classes} classes of Z_{g}: "
+        f"{len(summary.spectral_non_tiles)} spectral non-tiles, "
+        f"{len(summary.tiles_non_spectral)} tiles non-spectral"
+    )
+    _emit(args, summary.to_json(), [line])
     return 0
 
 

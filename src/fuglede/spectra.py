@@ -107,8 +107,7 @@ def find_spectrum(
     order = np.argsort(-adj.sum(axis=1), kind="stable")
     vertices = zset[order].tolist()
     # Neighbours of vertex i as a bitmask over positions in that order.
-    packed = np.packbits(adj[np.ix_(order, order)], axis=1, bitorder="little")
-    neighbours = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    neighbours = tiling.rank_masks(adj[np.ix_(order, order)])
 
     nodes = 0
     clique: list[int] = []
@@ -169,6 +168,13 @@ class ScanSummary:
     classes: int = 0
     spectral_non_tiles: list[tuple[Element, ...]] = field(default_factory=list)
     tiles_non_spectral: list[tuple[Element, ...]] = field(default_factory=list)
+
+    def add(self, rec: ScanRecord) -> None:
+        self.classes += 1
+        if rec.spectral and not rec.tiles:
+            self.spectral_non_tiles.append(rec.elements)
+        if rec.tiles and not rec.spectral:
+            self.tiles_non_spectral.append(rec.elements)
 
     def to_json(self) -> dict:
         return {
@@ -273,23 +279,26 @@ def scan_class(
     )
 
 
-def fuglede_scan(
+def scan_records(
     g: GroupSpec, size_filter: Optional[int] = None
-) -> tuple[list[ScanRecord], ScanSummary]:
-    """Test both directions of the spectral/tiling correspondence over all
-    subset classes and collect counterexamples."""
-    records = []
-    summary = ScanSummary()
+) -> Iterator[ScanRecord]:
+    """The record of every subset class, in canonical order, each made
+    when it is asked for."""
     for classes, member in _class_blocks(g, size_filter):
         # Z(T) of the whole block from one kernel call; the sum at 0 is #T.
         counts = member @ _pairing_onehot(g)
         zeros = vanishing(counts.reshape(len(member), g.order, g.exponent))
         for T, zero in zip(classes, zeros):
-            rec = scan_class(g, T, zero)
-            records.append(rec)
-            summary.classes += 1
-            if rec.spectral and not rec.tiles:
-                summary.spectral_non_tiles.append(rec.elements)
-            if rec.tiles and not rec.spectral:
-                summary.tiles_non_spectral.append(rec.elements)
+            yield scan_class(g, T, zero)
+
+
+def fuglede_scan(
+    g: GroupSpec, size_filter: Optional[int] = None
+) -> tuple[list[ScanRecord], ScanSummary]:
+    """Test both directions of the spectral/tiling correspondence over all
+    subset classes and collect counterexamples."""
+    records = list(scan_records(g, size_filter))
+    summary = ScanSummary()
+    for rec in records:
+        summary.add(rec)
     return records, summary

@@ -1,24 +1,24 @@
 """Translational tiling of a finite abelian group by a subset.
 
 Decision route: a divisibility pre-check (#T must divide #G), then exact
-cover by translates, Algorithm X style.  A positive answer carries the
-complement set; a negative one carries either the divisibility obstruction
-or the fact that the cover search was exhausted.  Translates are arrays of
-element ranks; tuples appear only in results.
+cover by translates, Algorithm X on bitmasks over ranks.  A positive answer
+carries the complement set; a negative one carries either the divisibility
+obstruction or the fact that the cover search was exhausted.  Translates are
+arrays of element ranks; tuples appear only in results.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .groups import Element, GroupSpec
 
 DEFAULT_NODE_BUDGET = 10_000_000
-COVER_ORDER_LIMIT = 1 << 16
+COVER_ORDER_LIMIT = 1 << 12  # the incidence matrix takes order^2 bytes
 
 
 class CoverBudgetExceeded(RuntimeError):
@@ -52,6 +52,7 @@ class TilingResult:
     complement: Optional[tuple[Element, ...]] = None
     obstruction: Optional[DivisibilityObstruction] = None
     exhausted: bool = False
+    nodes: int = 0
 
 
 def divisibility_check(
@@ -85,6 +86,20 @@ def verify_tiling(
     return cover_defect(g, T, sigma) is None
 
 
+def rank_masks(bits: np.ndarray) -> list[int]:
+    """Row i of a 2-D bool array as one Python int: bit j is bits[i, j]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed.tolist()]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _translates(g: GroupSpec, T: Iterable[Element], shifts: np.ndarray) -> np.ndarray:
     """Row i: the ranks of the translate (element shifts[i]) + T."""
     points = g.coords[g.ranks(list(frozenset(T)))]
@@ -92,35 +107,13 @@ def _translates(g: GroupSpec, T: Iterable[Element], shifts: np.ndarray) -> np.nd
     return g.ranks(sums.reshape(-1, g.ndim)).reshape(len(shifts), len(points))
 
 
-def _cover(X, Y, row):
-    removed = []
-    for col in Y[row]:
-        rows = X.pop(col)
-        removed.append((col, rows))
-        for other in rows:
-            if other != row:
-                for c2 in Y[other]:
-                    if c2 != col and c2 in X:
-                        X[c2].discard(other)
-    return removed
-
-
-def _uncover(X, Y, row, removed):
-    for col, rows in reversed(removed):
-        X[col] = rows
-        for other in rows:
-            if other != row:
-                for c2 in Y[other]:
-                    if c2 != col and c2 in X:
-                        X[c2].add(other)
-
-
 def find_tiling(g: GroupSpec, T: Iterable[Element]) -> TilingResult:
     """Decide whether T tiles G, with a certificate either way.
 
     The translate at 0 is forced into the complement first (tilings are
     translation-invariant), then exact cover runs over the remaining
-    translates in rank order.
+    translates in rank order.  A search state is two masks, the live
+    translates and the uncovered columns; being ints, they need no undo.
     """
     T = frozenset(T)
     obstruction = divisibility_check(g, T)
@@ -130,35 +123,39 @@ def find_tiling(g: GroupSpec, T: Iterable[Element]) -> TilingResult:
         raise ValueError(f"group of order {g.order} beyond cover search")
     budget = resolve_node_budget()
 
-    # Row t covers the ranks Y[t] of t + T; column c is covered by the rows
-    # X[c], #T of them, found by sorting the flattened Y.
-    rows = np.sort(_translates(g, T, np.arange(g.order)), axis=1)
-    by_col = np.argsort(rows.ravel(), kind="stable").reshape(g.order, -1)
-    X = {c: set(rs) for c, rs in enumerate((by_col // len(T)).tolist())}
-    Y = rows.tolist()
+    # Translate t covers the ranks cols[t]; column c is covered by the
+    # translates in the mask colrows[c].
+    ranks = _translates(g, T, np.arange(g.order))
+    incidence = np.zeros((g.order, g.order), dtype=bool)
+    incidence[np.arange(g.order)[:, None], ranks] = True
+    colrows = rank_masks(incidence.T)
+    cols = ranks.tolist()
     nodes = 0
     solution = [0]
 
-    def solve() -> bool:
+    def solve(row: int, live: int, uncovered: int) -> bool:
+        """Take row in the state (live, uncovered) and complete the cover:
+        its columns are covered, and every translate meeting them dies."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise CoverBudgetExceeded(f"cover search exceeded {budget} nodes")
-        if not X:
+        for c in cols[row]:
+            live &= ~colrows[c]
+            uncovered &= ~(1 << c)
+        if not uncovered:
             return True
-        # Minimum remaining candidates, smallest column rank on ties.
-        col = min(X, key=lambda c: (len(X[c]), c))
-        for row in sorted(X[col]):
-            solution.append(row)
-            removed = _cover(X, Y, row)
-            if solve():
+        # Fewest live candidates, smallest column rank on ties.
+        _, col = min(((colrows[c] & live).bit_count(), c) for c in _bits(uncovered))
+        for nxt in _bits(colrows[col] & live):
+            solution.append(nxt)
+            if solve(nxt, live, uncovered):
                 return True
-            _uncover(X, Y, row, removed)
             solution.pop()
         return False
 
-    _cover(X, Y, 0)
-    if solve():
+    everything = (1 << g.order) - 1
+    if solve(0, everything, everything):
         sigma = tuple(map(tuple, g.coords[sorted(solution)].tolist()))
-        return TilingResult(True, complement=sigma)
-    return TilingResult(False, exhausted=True)
+        return TilingResult(True, complement=sigma, nodes=nodes)
+    return TilingResult(False, exhausted=True, nodes=nodes)

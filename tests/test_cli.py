@@ -290,6 +290,21 @@ def test_failures_exit_cleanly_with_json(
         assert error["budget"] == int(budget)
 
 
+def test_budget_exhausted_mid_scan_keeps_the_printed_records(capsys, monkeypatch):
+    argv = ["--json", "scan", "10", "--size", "4"]
+    _, full = run(capsys, *argv)
+    monkeypatch.setenv("FUGLEDE_BUDGET", "1")
+    code, out = run(capsys, *argv)
+    assert code == 3
+    lines = out.splitlines()
+    *records, error = [json.loads(line) for line in lines]
+    assert error == {"budget": 1, "error": "clique search exceeded 1 nodes"}
+    # Records are printed as they are made, so those before the class whose
+    # search ran out are already out, and equal the unbudgeted scan's.
+    assert 0 < len(records) < len(full.splitlines()) - 1
+    assert lines[:-1] == full.splitlines()[: len(records)]
+
+
 # SHA-256 of the --json stdout; a refactor must leave these bytes unchanged.
 GOLDEN_STDOUT = {
     "counterexample z3-5": "9cb6c3d63595103db9fc7c529cb074dbcad1ac2972340cc8429affb736fac0ca",

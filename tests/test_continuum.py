@@ -46,6 +46,14 @@ def test_measure_equals_point_count(lifted):
     assert CubeUnion(((0, 0),)).measure == 1
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_cube_count_equals_lifted_point_count(m):
+    """The lifted points are distinct, so the CLI may report the measure of
+    Omega_2 as the point count without building Omega_2."""
+    o1, _ = lifted_pair(m)
+    assert build_omega2(o1).measure == len(o1.points) == 6 * m**5
+
+
 def test_equal_base_nonzero_shift_is_orthogonal(lifted):
     o1, _ = lifted
     assert inner_product_is_zero(o1, (0,) * 5, 6, (1, 0, 0, 0, 0))

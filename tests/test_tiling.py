@@ -4,8 +4,11 @@ import random
 import pytest
 
 from fuglede.groups import GroupSpec
+from fuglede.spectra import canonical_classes
 from fuglede.tiling import (
+    COVER_ORDER_LIMIT,
     CoverBudgetExceeded,
+    DivisibilityObstruction,
     cover_defect,
     divisibility_check,
     find_tiling,
@@ -126,6 +129,43 @@ def test_budget_exceeded_is_distinct(monkeypatch):
     g = GroupSpec.cyclic(12)
     T = frozenset({(0,), (1,), (2,), (3,)})
     with pytest.raises(CoverBudgetExceeded):
+        find_tiling(g, T)
+
+
+@pytest.mark.parametrize(
+    "descriptor,nodes",
+    [("12", 233), ("15", 342), ("2^4", 1807), ("3x3", 46), ("2x4", 49)],
+)
+def test_cover_search_node_totals_are_pinned(descriptor, nodes):
+    """Total exact-cover nodes over all subset classes: a change to the
+    column choice or to the row order shows here before it shows in a
+    verdict."""
+    g = GroupSpec.from_descriptor(descriptor)
+    assert sum(find_tiling(g, T).nodes for T in canonical_classes(g)) == nodes
+
+
+def test_cover_order_limit():
+    g = GroupSpec.power(2, 13)
+    assert g.order > COVER_ORDER_LIMIT
+    pair = frozenset({g.identity(), g.standard_basis(1)})
+    with pytest.raises(ValueError, match="order 8192 beyond cover search"):
+        find_tiling(g, pair)
+    # Divisibility decides before the limit is read.
+    triple = pair | {g.standard_basis(2)}
+    result = find_tiling(g, triple)
+    assert not result.tiles
+    assert result.obstruction == DivisibilityObstruction(3, 8192)
+
+
+def test_budget_bounds_the_node_count(monkeypatch):
+    g = GroupSpec.cyclic(12)
+    T = frozenset({(0,), (1,), (2,), (3,)})
+    nodes = find_tiling(g, T).nodes
+    assert nodes == 3  # the translates at 0, 4 and 8
+    monkeypatch.setenv("FUGLEDE_BUDGET", str(nodes))
+    assert find_tiling(g, T).tiles
+    monkeypatch.setenv("FUGLEDE_BUDGET", str(nodes - 1))
+    with pytest.raises(CoverBudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
         find_tiling(g, T)
 
 
