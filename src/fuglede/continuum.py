@@ -23,6 +23,7 @@ from .lattice import FrequencySet, LatticeSet, Point, character_sum_lattice, int
 
 Pairs = Iterator[tuple[np.ndarray, np.ndarray]]  # blocks of index pairs (i, j)
 _BLOCK = 1 << 12  # pairs decided per numpy block
+DEFAULT_PAIR_BUDGET = 1_000_000  # pairs checked before the check samples
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def verify_spectrum_truncation(
     omega1: LatticeSet,
     lambda1: FrequencySet,
     k_radius: int,
-    pair_budget: int = 1_000_000,
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
     seed: int = 0,
 ) -> TruncationResult:
     """Check orthogonality over the truncated spectrum

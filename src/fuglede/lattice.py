@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import gcd
-from typing import Iterable, Optional
+from math import comb, gcd
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -120,9 +120,9 @@ def build_lambda1(base_spec: Iterable[Point], m_scale: int) -> FrequencySet:
     return FrequencySet(3 * m_scale, nums[np.lexsort(nums.T[::-1])])
 
 
-def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
-    """Exact zero/nonzero verdict of the character sum over omega1 for every
-    unordered frequency pair, by direct summation.
+def _verdict_rows(omega1: LatticeSet, lambda1: FrequencySet) -> Iterator[np.ndarray]:
+    """Row i, for i in [0, count - 1): the exact zero/nonzero verdicts of the
+    character sum over omega1 at nu_j - nu_i for j > i, by direct summation.
 
     A verdict depends only on d = (nu_j - nu_i) mod denom.  For u prime to
     denom, omega -> omega^u is an automorphism of Q(omega_denom), so the sum
@@ -131,7 +131,7 @@ def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarra
     table; one representative per Galois orbit (the least code of u*d) is
     summed over all points by the batched kernel `vanishing_sums`, and the
     verdicts are copied back through the table; pass 2 recomputes each
-    row's codes and reads its verdicts off the table.
+    row's codes and yields its verdicts read off the table.
     """
     denom, n, count = lambda1.denominator, omega1.dimension, len(lambda1.numerators)
     if not 1 <= denom <= MAX_ORDER:  # before the denom^n table is allocated
@@ -162,11 +162,16 @@ def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarra
     reps = np.argwhere(verdict.reshape(shape)).astype(np.min_scalar_type(denom))
     verdict[verdict] = vanishing_sums(omega1.points, reps, denom)
     table[table] = verdict[rep]
-    out = np.empty(count * (count - 1) // 2, dtype=bool)
     for i in range(count - 1):
-        start = i * (2 * count - i - 1) // 2  # rows 0..i-1 hold this many pairs
-        out[start : start + count - 1 - i] = table[row_codes(i)]
-    return out
+        yield table[row_codes(i)]
+
+
+def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
+    """The verdict of every unordered frequency pair, in
+    itertools.combinations order: the rows of `_verdict_rows` end to end.
+    One bool per pair, for the tests and the cross-check with
+    `pair_verdicts_factored`; `verify_ortho_lattice` walks the rows."""
+    return np.concatenate([np.zeros(0, dtype=bool), *_verdict_rows(omega1, lambda1)])
 
 
 def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
@@ -187,15 +192,16 @@ def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndar
 
 def verify_ortho_lattice(omega1: LatticeSet, lambda1: FrequencySet) -> OrthoResult:
     """Valid iff every distinct frequency pair has vanishing character sum
-    over omega1, by the direct exact summation; the tests check its verdicts
-    against the independent route `pair_verdicts_factored`."""
-    verdicts = pair_verdicts_direct(omega1, lambda1)
-    if bool(verdicts.all()):
-        return OrthoResult(True, pairs=len(verdicts))
-    # Verdicts are in itertools.combinations order: (0,1), (0,2), ..., (1,2), ...
-    pairs = itertools.combinations(lambda1.numerators.tolist(), 2)
-    witness = next(itertools.islice(pairs, int(np.argmin(verdicts)), None))
-    return OrthoResult(False, tuple(map(tuple, witness)), len(verdicts))
+    over omega1, by the direct exact summation.  The verdict rows are walked
+    in pair order and the walk stops at the first failing pair, the witness;
+    nothing is stored per pair.  The tests check the verdicts against the
+    independent route `pair_verdicts_factored`."""
+    nums, pairs = lambda1.numerators, comb(len(lambda1.numerators), 2)
+    for i, row in enumerate(_verdict_rows(omega1, lambda1)):
+        if not row.all():
+            witness = nums[[i, i + 1 + int(np.argmin(row))]].tolist()
+            return OrthoResult(False, tuple(map(tuple, witness)), pairs)
+    return OrthoResult(True, pairs=pairs)
 
 
 def character_sum_lattice(

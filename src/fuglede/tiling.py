@@ -130,32 +130,30 @@ def find_tiling(g: GroupSpec, T: Iterable[Element]) -> TilingResult:
     incidence[np.arange(g.order)[:, None], ranks] = True
     colrows = rank_masks(incidence.T)
     cols = ranks.tolist()
-    nodes = 0
-    solution = [0]
-
-    def solve(row: int, live: int, uncovered: int) -> bool:
-        """Take row in the state (live, uncovered) and complete the cover:
-        its columns are covered, and every translate meeting them dies."""
-        nonlocal nodes
+    # Depth first on an explicit stack, so Python's recursion limit does not
+    # bound the depth.  solution[k] is the row taken at depth k; frame k holds
+    # the untried rows of the column chosen at depth k and the state (live,
+    # uncovered) they are tried in.
+    nodes, solution, stack = 0, [0], []
+    live = uncovered = (1 << g.order) - 1
+    while True:
+        # Take the last row of solution: its columns are covered, and every
+        # translate meeting them dies.
         nodes += 1
         if nodes > budget:
             raise CoverBudgetExceeded(f"cover search exceeded {budget} nodes")
-        for c in cols[row]:
+        for c in cols[solution[-1]]:
             live &= ~colrows[c]
             uncovered &= ~(1 << c)
         if not uncovered:
-            return True
+            sigma = tuple(map(tuple, g.coords[sorted(solution)].tolist()))
+            return TilingResult(True, complement=sigma, nodes=nodes)
         # Fewest live candidates, smallest column rank on ties.
         _, col = min(((colrows[c] & live).bit_count(), c) for c in _bits(uncovered))
-        for nxt in _bits(colrows[col] & live):
-            solution.append(nxt)
-            if solve(nxt, live, uncovered):
-                return True
-            solution.pop()
-        return False
-
-    everything = (1 << g.order) - 1
-    if solve(0, everything, everything):
-        sigma = tuple(map(tuple, g.coords[sorted(solution)].tolist()))
-        return TilingResult(True, complement=sigma, nodes=nodes)
-    return TilingResult(False, exhausted=True, nodes=nodes)
+        stack.append((_bits(colrows[col] & live), live, uncovered))
+        while stack and (row := next(stack[-1][0], None)) is None:
+            stack.pop()
+        if not stack:
+            return TilingResult(False, exhausted=True, nodes=nodes)
+        _, live, uncovered = stack[-1]
+        solution[len(stack) :] = [row]

@@ -188,7 +188,7 @@ def test_verify_tiling_witness(capsys, group, complement, witness):
 @pytest.mark.parametrize(
     "stage,argv",
     [
-        ("pair_verdicts_direct", ["counterexample", "lattice", "--m", "1"]),
+        ("_verdict_rows", ["counterexample", "lattice", "--m", "1"]),
         ("_lift", ["export", "--m", "1", "--out", "unused.json"]),
     ],
 )
@@ -272,6 +272,7 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
             2,
             "FUGLEDE_BUDGET must be a non-negative integer, got 'abc'",
         ),
+        (None, ["counterexample", "bogus"], 2, "invalid choice"),
     ],
 )
 def test_failures_exit_cleanly_with_json(

@@ -13,6 +13,7 @@ from fuglede.cyclotomic import vanishing
 from fuglede.hadamard import descend, paper_h6, spectrum_from_butson
 from fuglede.lattice import (
     FrequencySet,
+    OrthoResult,
     build_lambda1,
     build_omega1,
     cell_count_check,
@@ -105,23 +106,28 @@ def test_ortho_valid_and_paths_agree(z3_5_pair, m):
     assert verify_ortho_lattice(o1, l1).valid
 
 
-def test_perturbed_spectrum_invalid_with_witness(z3_5_pair):
-    T5, L5 = z3_5_pair
-    o1 = build_omega1(T5, 2)
-    l1 = build_lambda1(L5, 2)
+def _bad_frequency_sets(l1):
+    """Invalid variants of the M=2 frequencies: one frequency repeated, and
+    one coordinate bumped by 1/(3M) at the first row from 0, 97 and 190
+    where the bump collides with no frequency."""
     nums = list(map(tuple, l1.numerators.tolist()))
     # a repeated frequency: the first bad pair (97, 98) opens its row
     bad_sets = [nums[:98] + nums[97:98] + nums[99:]]
     for start in (0, 97, 190):
         perturbed = list(nums)
-        # bump one coordinate by 1/(3M), picking a non-colliding perturbation
         for i in range(start, len(nums)):
             cand = nums[i][:4] + ((nums[i][4] + 1) % 6,)
             if cand not in nums:
                 perturbed[i] = cand
                 break
         bad_sets.append(tuple(perturbed))
-    for bad_nums in bad_sets:
+    return bad_sets
+
+
+def test_perturbed_spectrum_invalid_with_witness(z3_5_pair):
+    T5, L5 = z3_5_pair
+    o1 = build_omega1(T5, 2)
+    for bad_nums in _bad_frequency_sets(build_lambda1(L5, 2)):
         bad = FrequencySet(6, bad_nums)
         verdicts = pair_verdicts_direct(o1, bad)
         assert np.array_equal(verdicts, pair_verdicts_factored(o1, bad))
@@ -133,6 +139,36 @@ def test_perturbed_spectrum_invalid_with_witness(z3_5_pair):
         # the witness really fails by direct summation
         delta = tuple((a - b) % 6 for a, b in zip(expected[1], expected[0]))
         assert not character_sum_lattice(o1, delta, 6).is_zero()
+
+
+def test_verify_walks_rows_without_the_per_pair_array(z3_5_pair, monkeypatch):
+    """verify_ortho_lattice decides from the verdict rows alone: with
+    pair_verdicts_direct unusable its results are unchanged, each witness
+    being the first failing pair in pair order on the factored route.  The
+    pinned index pairs place witnesses at the start, middle and end of a
+    row, and on rows before the perturbed one."""
+    T5, L5 = z3_5_pair
+    o1 = build_omega1(T5, 2)
+    l1 = build_lambda1(L5, 2)
+    bad_sets = _bad_frequency_sets(l1)
+    expected = []
+    for bad_nums in bad_sets:
+        first = int(np.argmin(pair_verdicts_factored(o1, FrequencySet(6, bad_nums))))
+        witness = list(itertools.combinations(bad_nums, 2))[first]
+        expected.append(OrthoResult(False, witness, 18336))
+
+    def unusable(*args, **kwargs):
+        raise AssertionError("the per-pair verdict array was built")
+
+    monkeypatch.setattr(lattice, "pair_verdicts_direct", unusable)
+    assert verify_ortho_lattice(o1, l1) == OrthoResult(True, pairs=18336)
+    results = [verify_ortho_lattice(o1, FrequencySet(6, b)) for b in bad_sets]
+    assert results == expected
+    index_pairs = []
+    for bad_nums, result in zip(bad_sets, results):
+        i = bad_nums.index(result.witness[0])
+        index_pairs.append((i, bad_nums.index(result.witness[1], i + 1)))
+    assert index_pairs == [(97, 98), (0, 1), (32, 97), (46, 191)]
 
 
 def test_direct_rejects_order_above_max_before_allocating(z3_5_pair):

@@ -144,6 +144,22 @@ def test_cover_search_node_totals_are_pinned(descriptor, nodes):
     assert sum(find_tiling(g, T).nodes for T in canonical_classes(g)) == nodes
 
 
+@pytest.mark.parametrize(
+    "descriptor,ranks,nodes", [("2^10", [0], 1024), ("24", [0, 7, 13, 18], 9)]
+)
+def test_cover_search_depth_and_backtracking(descriptor, ranks, nodes):
+    """{0} tiles Z_2^10 only with every translate, a path of 1,024 nodes,
+    deeper than Python's default recursion limit.  {0,7,13,18} tiles Z_24
+    with 6 translates after backing out of 3 nodes, whose rows must not
+    stay in the complement."""
+    g = GroupSpec.from_descriptor(descriptor)
+    T = frozenset(g.unrank(r) for r in ranks)
+    result = find_tiling(g, T)
+    assert result.tiles and result.nodes == nodes
+    assert len(result.complement) == g.order // len(T)
+    assert verify_tiling(g, T, result.complement)
+
+
 def test_cover_order_limit():
     g = GroupSpec.power(2, 13)
     assert g.order > COVER_ORDER_LIMIT
