@@ -3,8 +3,10 @@
 A value is stored as a length-m integer coefficient vector c with
 value = sum_k c[k] * omega_m^k, omega_m = e^{2*pi*i/m}.  Zero testing
 reduces the coefficient polynomial modulo the m-th cyclotomic polynomial,
-so every vanishing-sum claim is decided with integers only, by the one
-batched kernel `vanishing`, fed whole batches of sums by `vanishing_sums`.
+so every vanishing-sum claim is decided exactly, by the one batched kernel
+`vanishing`, fed whole batches of sums by `vanishing_sums`.  The exponents
+d . x of those sums come from a float32 BLAS product whose every value is
+an integer in [0, 2^24], where float32 is exact.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 MAX_ORDER = 64
-_BATCH = 1 << 18  # exponent entries per kernel call in vanishing_sums
+_BATCH = 1 << 16  # product entries and bins per chunk in vanishing_sums; <= _EXACT
+_EXACT = 1 << 24  # float32 holds every integer in [0, 2^24] exactly
 
 
 def _divisors(m: int) -> list[int]:
@@ -89,18 +92,43 @@ def vanishing(counts) -> np.ndarray:
 
 
 def vanishing_sums(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray:
-    """Per row d of deltas, whether sum over rows x of the int64 points of
-    omega_m ** (d . x) vanishes.  Chunks of deltas are widened to int64 and
-    counted by one offset bincount (row r in bins [r*m, (r+1)*m))."""
+    """Per row d of deltas, whether sum over rows x of the integer points of
+    omega_m ** (d . x) vanishes.
+
+    omega_m ** (d . x) depends only on d and x mod m, so both are reduced
+    once; then every exponent d . x lies in [0, W) with
+    W = max(d) * max_x sum(x) + 1 rounded up to a multiple of m.  Row r of
+    a chunk gets the extra coordinate r * W against a column of ones, so one
+    float32 product gives each entry's bincount index r * W + d . x.  Every
+    partial sum of that product is a nonnegative integer below rows * W,
+    which a chunk keeps within float32's exact integers (2^24), so the
+    product is exact in any summation order.  One bincount per chunk, with
+    bins folded mod m, gives each row's root multiplicities for `vanishing`.
+    A chunk holds at most _BATCH product entries and _BATCH bins, or one
+    row; ValueError if a single row's W exceeds 2^24.
+    """
+    points, deltas = np.asarray(points) % m, np.asarray(deltas) % m
+    width = int(deltas.max(initial=0)) * int(points.sum(axis=1).max(initial=0)) + 1
+    width = -(-width // m) * m
+    if width > _EXACT:
+        raise ValueError(f"exponent range {width} beyond float32's exact integers")
+    step = max(1, _BATCH // max(len(points), width))  # deltas per chunk
+    rows = min(step, len(deltas))
+    aug = np.ones((points.shape[1] + 1, len(points)), dtype=np.float32)
+    aug[:-1] = points.T
+    lhs = np.empty((rows, len(aug)), dtype=np.float32)
+    lhs[:, -1] = np.arange(0, rows * width, width)
+    exps = np.empty((rows, len(points)), dtype=np.float32)
+    index = np.empty(exps.shape, dtype=np.intp)
     out = np.empty(len(deltas), dtype=bool)
-    step = max(1, _BATCH // max(1, len(points)))  # deltas per chunk
     for lo in range(0, len(deltas), step):
-        chunk = np.asarray(deltas[lo : lo + step], dtype=np.int64)
-        exps = chunk @ points.T
-        exps %= m
-        exps += np.arange(0, len(chunk) * m, m)[:, None]
-        counts = np.bincount(exps.ravel(), minlength=len(chunk) * m)
-        out[lo : lo + step] = vanishing(counts.reshape(len(chunk), m))
+        chunk = deltas[lo : lo + step]
+        k = len(chunk)
+        lhs[:k, :-1] = chunk
+        np.matmul(lhs[:k], aug, out=exps[:k])
+        index[:k] = exps[:k]
+        counts = np.bincount(index[:k].ravel(), minlength=k * width)
+        out[lo : lo + k] = vanishing(counts.reshape(k, width // m, m).sum(axis=1))
     return out
 
 

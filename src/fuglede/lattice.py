@@ -131,7 +131,9 @@ def _verdict_rows(omega1: LatticeSet, lambda1: FrequencySet) -> Iterator[np.ndar
     table; one representative per Galois orbit (the least code of u*d) is
     summed over all points by the batched kernel `vanishing_sums`, and the
     verdicts are copied back through the table; pass 2 recomputes each
-    row's codes and yields its verdicts read off the table.
+    row's codes and yields its verdicts read off the table.  When every
+    representative vanishes, pass 2 is skipped and each row is a read-only
+    all-True view.
     """
     denom, n, count = lambda1.denominator, omega1.dimension, len(lambda1.numerators)
     if not 1 <= denom <= MAX_ORDER:  # before the denom^n table is allocated
@@ -160,7 +162,13 @@ def _verdict_rows(omega1: LatticeSet, lambda1: FrequencySet) -> Iterator[np.ndar
     verdict[rep] = True
     # Orbit representatives as small-int rows in code order, that of verdict[verdict].
     reps = np.argwhere(verdict.reshape(shape)).astype(np.min_scalar_type(denom))
-    verdict[verdict] = vanishing_sums(omega1.points, reps, denom)
+    zero = vanishing_sums(omega1.points, reps, denom)
+    if zero.all():  # every row is all True, so pass 2 has nothing to look up
+        full = np.ones(max(count - 1, 0), dtype=bool)
+        full.flags.writeable = False
+        yield from (full[i:] for i in range(count - 1))
+        return
+    verdict[verdict] = zero
     table[table] = verdict[rep]
     for i in range(count - 1):
         yield table[row_codes(i)]

@@ -311,6 +311,7 @@ GOLDEN_STDOUT = {
     "counterexample z3-5": "9cb6c3d63595103db9fc7c529cb074dbcad1ac2972340cc8429affb736fac0ca",
     "counterexample lattice --m 2": "294645ceec72e5740790aa27c0919a8504dcdd8d641787a7b50e3afc68016063",
     "counterexample lattice --m 3": "2d92fa85249275d813ebca9b3bddb327a0029079004301650c664c9d13f47f92",
+    "counterexample lattice --m 4": "4e254171b2cbc5fd2fd2286439b4aaff8fa12e8e0c212e0c0125793c8a20d5e8",
     "counterexample z2-12": "2d3a318044205396c833894816938fb356ec8cf54daad37ab471237c0cdaa38e",
     "counterexample z2-11": "e7c260f9d2b5af4b4de8d5d9e2d4b22fc76f49f6c965ff775f8682f9db8c1c11",
     "scan 12": "016e424036f29cb52da5afb2f37ccd1dd9340ba41866ba7f657a3e7c610f0c44",

@@ -93,29 +93,68 @@ def test_order_limit():
         CyclotomicInt(MAX_ORDER + 1, (0,) * (MAX_ORDER + 1)).is_zero()
 
 
+def integer_rows(n, size):
+    """Up to size rows of n integers: small ones, and signed ones up to 2^62
+    in magnitude, whose products wrap int64 unless reduced first."""
+    entry = st.one_of(st.integers(0, 3), st.integers(-(2**62), 2**62))
+    return st.lists(st.tuples(*[entry] * n), max_size=size)
+
+
+def python_sums_vanish(points, deltas, m):
+    """The verdict of each delta, with each exponent summed in Python ints."""
+    verdicts = []
+    for d in deltas:
+        counts = [0] * m
+        for x in points:
+            counts[sum(a * b for a, b in zip(d, x)) % m] += 1
+        verdicts.append(CyclotomicInt(m, tuple(counts)).is_zero())
+    return verdicts
+
+
 @given(
-    m=st.sampled_from([1, 2, 3, 4, 6, 12, 64]),
-    batch=st.integers(1, 12),
+    m=st.sampled_from([1, 2, 3, 4, 6, 9, 12, 63, 64]),
+    batch=st.integers(1, 1 << 14),
     wide=st.booleans(),
     data=st.data(),
 )
 def test_vanishing_sums_matches_scalar_sums(m, batch, wide, data):
-    """Every chunk size gives the scalar verdict of each row, whatever the
-    integer dtype of the deltas."""
-    n = data.draw(st.integers(1, 3))
-    points = np.array(
-        data.draw(st.lists(st.tuples(*[st.integers(0, 2 * m)] * n), max_size=6)),
-        dtype=np.int64,
-    ).reshape(-1, n)
-    deltas = data.draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * n), max_size=9))
-    dtype = np.int64 if wide else np.min_scalar_type(m)
+    """Every chunk size gives the exact verdict of each row, whatever the
+    sign, magnitude and integer dtype of the points and deltas."""
+    n = data.draw(st.integers(1, 6))
+    points = data.draw(integer_rows(n, 6))
+    deltas = data.draw(integer_rows(n, 12))
+    values = [v for row in deltas for v in row]
+    dtype = np.int64 if wide else np.result_type(np.uint8, *map(np.min_scalar_type, values))
     with mock.patch.object(cyclotomic, "_BATCH", batch):
-        got = vanishing_sums(points, np.array(deltas, dtype=dtype).reshape(-1, n), m)
-    expected = [
-        CyclotomicInt(m, tuple(np.bincount(points @ d % m, minlength=m))).is_zero()
-        for d in np.array(deltas, dtype=np.int64).reshape(-1, n)
-    ]
-    assert got.dtype == bool and got.tolist() == expected
+        got = vanishing_sums(
+            np.array(points, dtype=np.int64).reshape(-1, n),
+            np.array(deltas, dtype=dtype).reshape(-1, n),
+            m,
+        )
+    assert got.dtype == bool and got.tolist() == python_sums_vanish(points, deltas, m)
+
+
+def test_vanishing_sums_exact_up_to_float32_limit():
+    """Mod 63, with 62s in n columns an exponent reaches 62 * 62n.  For the
+    first and last delta the three points have exponents e, e - 1281 and
+    e - 2562, which are omega^e times the cube roots of unity: a vanishing
+    sum that rounding the odd gap 1281 would break.  Up to n = 4364 every
+    exponent stays below 2^24 and the sums are exact, each row chunked
+    alone; at n = 4365 the kernel refuses."""
+
+    def rows(n):
+        points = np.full((3, n), 62, dtype=np.int64)
+        points[:, 0] = [62, 41, 20]
+        deltas = np.full((3, n), 62, dtype=np.int64)
+        deltas[:, 0] = [61, 0, 61]
+        return points, deltas
+
+    points, deltas = rows(4364)
+    expected = python_sums_vanish(points.tolist(), deltas.tolist(), 63)
+    assert expected == [True, False, True]
+    assert vanishing_sums(points, deltas, 63).tolist() == expected
+    with pytest.raises(ValueError, match="float32"):
+        vanishing_sums(*rows(4365), 63)
 
 
 Z6 = GroupSpec.cyclic(6)
