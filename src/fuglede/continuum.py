@@ -10,6 +10,7 @@ fractional part.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from dataclasses import dataclass
@@ -122,7 +123,8 @@ def verify_spectrum_truncation(
     count = len(nums) * per
     sampled = count * (count - 1) // 2 > pair_budget
     blocks = _sampled_pairs(count, pair_budget, seed) if sampled else _all_pairs(count)
-    verdicts: dict[int, bool] = {}  # code of delta -> lattice sum vanishes
+    known = np.zeros(0, dtype=np.int64)  # sorted codes of the deltas summed so far
+    zero = np.zeros(0, dtype=bool)  # zero[t]: the lattice sum at known[t] vanishes
     checked = 0
     for i, j in blocks:
         # Drawn pairs are unordered; the difference is taken from the lower index.
@@ -134,10 +136,16 @@ def verify_spectrum_truncation(
         live = np.flatnonzero(~ok)
         code = np.ravel_multi_index(delta[live].T, (denom,) * n)
         codes, index, inverse = np.unique(code, return_index=True, return_inverse=True)
-        for c, row in zip(codes.tolist(), delta[live[index]]):
-            if c not in verdicts:
-                verdicts[c] = character_sum_lattice(omega1, row, denom).is_zero()
-        ok[live] = np.array([verdicts[c] for c in codes.tolist()], dtype=bool)[inverse]
+        new = ~np.isin(codes, known)
+        rows = delta[live[index[new]]]
+        found = np.fromiter(
+            (character_sum_lattice(omega1, row, denom).is_zero() for row in rows),
+            dtype=bool,
+            count=len(rows),
+        )
+        at = np.searchsorted(known, codes[new])
+        known, zero = np.insert(known, at, codes[new]), np.insert(zero, at, found)
+        ok[live] = zero[np.searchsorted(known, codes)][inverse]
         if not ok.all():
             first = int(np.argmin(ok))
             num, shift = np.divmod([i[first], j[first]], per)
@@ -160,29 +168,78 @@ def _all_pairs(count: int) -> Pairs:
 
 
 def _sampled_pairs(count: int, budget: int, seed: int) -> Pairs:
-    """`budget` seeded draws of i, then j != i, in blocks of _BLOCK pairs."""
-    randrange = random.Random(seed).randrange
+    """`budget` seeded draws of i, then j != i, in blocks of _BLOCK pairs:
+    the values of `randrange(count)`, `randrange(count - 1)`, ... in turn
+    from `random.Random(seed)`, decoded from its 32-bit words in numpy.
+
+    `getrandbits(32 * w)` holds the next w words, the first one in the
+    least significant bits (CPython fills them so on either byte order).
+    Words a block does not use are carried into the next block.
+    """
+    if count.bit_length() > 32:
+        raise ValueError(f"cannot sample among {count} frequencies: at most 2^32 - 1")
+    getrandbits = random.Random(seed).getrandbits
+    words = np.zeros(0, dtype=np.uint32)
     for lo in range(0, budget, _BLOCK):
-        size = min(_BLOCK, budget - lo)
-        draws = [randrange(c) for _ in range(size) for c in (count, count - 1)]
-        i, j = np.array(draws, dtype=np.int64).reshape(-1, 2).T
+        need = 2 * min(_BLOCK, budget - lo)
+        draws, used = _decode(words, count)
+        while len(draws) < need:
+            more = 2 * (need - len(draws)) + 64  # an attempt is kept with p >= 1/2
+            fresh = getrandbits(32 * more).to_bytes(4 * more, "little")
+            words = np.concatenate([words, np.frombuffer(fresh, "<u4")])
+            draws, used = _decode(words, count)
+        i, j = draws[:need].astype(np.int64).reshape(-1, 2).T
+        words = words[used[need - 1] + 1 :]
         yield i, j + (j >= i)
+
+
+def _decode(words: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values that `randrange(c)` for c = count, count - 1, count, ...
+    in turn takes from `words`, and the index of the word behind each.
+
+    For 1 <= c < 2^32, an attempt of `randrange(c)` is one word: its top
+    c.bit_length() bits, accepted if below c, else the next word is tried.
+    A word that both bounds accept passes the turn on and one that both
+    reject keeps it, whoever's turn it is.  A word that one bound alone
+    accepts leaves the turn with count - 1 if that bound is count, and with
+    count otherwise.  So the turn at each word is fixed by the last such
+    word before it, flipped once per word since then that both accept.
+    """
+    top0 = words >> (32 - count.bit_length())  # the attempt at count
+    top1 = words >> (32 - (count - 1).bit_length())  # the attempt at count - 1
+    take0, take1 = top0 < count, top1 < count - 1
+    both, one = take0 & take1, take0 != take1
+    flips = np.logical_xor.accumulate(both) ^ both  # odd count of both-words before t
+    # key[r + 1] ^ flips[t] is the turn at t if r is the last one-bound word before t.
+    key = np.concatenate([[False], take0 ^ flips])
+    last = np.maximum.accumulate(np.where(one, np.arange(1, len(words) + 1), 0))
+    turn = key[np.concatenate([[0], last[:-1]])] ^ flips
+    used = np.flatnonzero(np.where(turn, take1, take0))
+    return np.where(turn[used], top1[used], top0[used]), used
 
 
 def export_geometry(
     omega2: CubeUnion, lambda1: FrequencySet, path: str | Path
 ) -> None:
-    """Byte-stable JSON export: lexicographic corners, sorted keys."""
-    nums = lambda1.numerators.tolist()
-    payload = {
-        "dimension": omega2.dimension,
-        "cube_corners": omega2.corners.tolist(),
-        "spectrum": {"denominator": lambda1.denominator, "numerators": nums},
-        "measure": omega2.measure,
-    }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    """Byte-stable JSON export: lexicographic corners, sorted keys.
+
+    The row lists hold millions of small lists and no cycle, so the cyclic
+    GC is paused while they are built and dumped."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        nums = lambda1.numerators.tolist()
+        payload = {
+            "dimension": omega2.dimension,
+            "cube_corners": omega2.corners.tolist(),
+            "spectrum": {"denominator": lambda1.denominator, "numerators": nums},
+            "measure": omega2.measure,
+        }
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    finally:
+        if enabled:
+            gc.enable()
+    Path(path).write_text(text)
 
 
 def load_geometry(path: str | Path) -> tuple[CubeUnion, FrequencySet]:

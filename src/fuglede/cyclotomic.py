@@ -105,9 +105,13 @@ def vanishing_sums(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray
     product is exact in any summation order.  One bincount per chunk, with
     bins folded mod m, gives each row's root multiplicities for `vanishing`.
     A chunk holds at most _BATCH product entries and _BATCH bins, or one
-    row; ValueError if a single row's W exceeds 2^24.
+    row; ValueError if a single row's W exceeds 2^24, or if points or
+    deltas are not integer arrays (a float entry may already be rounded).
     """
-    points, deltas = np.asarray(points) % m, np.asarray(deltas) % m
+    points, deltas = np.asarray(points), np.asarray(deltas)
+    if not all(np.issubdtype(a.dtype, np.integer) for a in (points, deltas)):
+        raise ValueError("points and deltas must be integer arrays")
+    points, deltas = points % m, deltas % m
     width = int(deltas.max(initial=0)) * int(points.sum(axis=1).max(initial=0)) + 1
     width = -(-width // m) * m
     if width > _EXACT:

@@ -152,12 +152,19 @@ def _verdict_rows(omega1: LatticeSet, lambda1: FrequencySet) -> Iterator[np.ndar
     for i in range(count - 1):
         table[row_codes(i)] = True
     codes = np.flatnonzero(table)
-    digits = np.stack(np.unravel_index(codes, shape))
-    rep = codes.copy()
+    digits = np.empty((n, len(codes)), dtype=np.min_scalar_type(denom))
+    for digit, w in zip(digits, place):
+        digit[:] = codes // w % denom
+    rep, code, term = codes.copy(), np.empty_like(codes), np.empty_like(codes)
     for u in range(2, denom):
         if gcd(u, denom) == 1:
-            np.minimum(rep, np.ravel_multi_index(digits * u % denom, shape), out=rep)
-    del digits
+            # lut[k][a] is the axis-k term of the code of u*d where d_k = a.
+            lut = np.arange(denom) * u % denom * place[:, None]
+            np.take(lut[0], digits[0], out=code)
+            for axis in range(1, n):
+                code += np.take(lut[axis], digits[axis], out=term)
+            np.minimum(rep, code, out=rep)
+    del digits, code, term
     verdict = np.zeros(denom**n, dtype=bool)
     verdict[rep] = True
     # Orbit representatives as small-int rows in code order, that of verdict[verdict].

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fuglede
 from fuglede.cli import main
 
 
@@ -345,3 +350,24 @@ def test_export_file_bytes_are_pinned(capsys, tmp_path):
         code, _ = run(capsys, "--json", "export", "--m", m, "--out", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == golden
+
+
+def test_sampled_continuum_does_not_import_numpy_random():
+    # numpy.random would add its import time and resident memory to every
+    # sampled continuum run; the sample is drawn from the stdlib generator.
+    script = (
+        "import sys\n"
+        "from fuglede.cli import main\n"
+        "argv = ['--json', 'counterexample', 'continuum', '--m', '1',\n"
+        "        '--k-radius', '1', '--pair-budget', '50']\n"
+        "assert main(argv) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = str(Path(fuglede.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["sampled"] is True

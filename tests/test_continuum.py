@@ -11,6 +11,7 @@ from fuglede.continuum import (
     CubeUnion,
     ExtendedFrequency,
     TruncationResult,
+    _sampled_pairs,
     build_omega2,
     export_geometry,
     inner_product_is_zero,
@@ -209,6 +210,30 @@ def test_repeated_frequency_fails_in_the_sample(m, k_radius, budget):
     assert result.sampled and not result.valid
     assert result.witness[0] == result.witness[1]
     assert result == truncation_reference(o1, bad, k_radius, budget)
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 8, 1024, 5184, 2**31, 2**32 - 1])
+def test_sampled_pairs_are_the_randrange_draws(count):
+    # The numpy decoding of the generator's words against the per-draw
+    # comprehension it replaced; powers of two give the bounds count and
+    # count - 1 different bit lengths, and the budgets straddle a block.
+    for seed in range(3):
+        for budget in (0, 1, 4095, 4096, 4097, 9000):
+            rng = random.Random(seed)
+            bounds = (count, count - 1)
+            draws = [rng.randrange(c) for _ in range(budget) for c in bounds]
+            blocks = list(_sampled_pairs(count, budget, seed))
+            assert [len(i) for i, _ in blocks] == [
+                min(4096, budget - lo) for lo in range(0, budget, 4096)
+            ]
+            assert all(i.dtype == j.dtype == np.int64 for i, j in blocks)
+            pairs = [p for i, j in blocks for p in zip(i.tolist(), j.tolist())]
+            assert pairs == [(i, j + (j >= i)) for i, j in zip(draws[::2], draws[1::2])]
+
+
+def test_sampled_pairs_reject_counts_of_33_bits():
+    with pytest.raises(ValueError, match="2\\^32"):
+        next(_sampled_pairs(2**32, 1, 0))
 
 
 @st.composite

@@ -124,7 +124,9 @@ def test_vanishing_sums_matches_scalar_sums(m, batch, wide, data):
     points = data.draw(integer_rows(n, 6))
     deltas = data.draw(integer_rows(n, 12))
     values = [v for row in deltas for v in row]
-    dtype = np.int64 if wide else np.result_type(np.uint8, *map(np.min_scalar_type, values))
+    dtype = np.result_type(np.uint8, *map(np.min_scalar_type, values))
+    if wide or dtype.kind == "f":  # negatives with entries >= 2^32 promote to float64
+        dtype = np.int64
     with mock.patch.object(cyclotomic, "_BATCH", batch):
         got = vanishing_sums(
             np.array(points, dtype=np.int64).reshape(-1, n),
@@ -132,6 +134,16 @@ def test_vanishing_sums_matches_scalar_sums(m, batch, wide, data):
             m,
         )
     assert got.dtype == bool and got.tolist() == python_sums_vanish(points, deltas, m)
+
+
+def test_vanishing_sums_rejects_float_arrays():
+    # 12,499,999,999,999,989 is 0 mod 3 (a nonzero sum over these points),
+    # but its nearest float64 is 2 mod 3 (a vanishing one).
+    points = np.array([[0], [1], [2]], dtype=np.int64)
+    with pytest.raises(ValueError, match="integer arrays"):
+        vanishing_sums(points, np.array([[12_499_999_999_999_989.0]]), 3)
+    with pytest.raises(ValueError, match="integer arrays"):
+        vanishing_sums(points.astype(float), np.array([[1]]), 3)
 
 
 def test_vanishing_sums_exact_up_to_float32_limit():
