@@ -43,15 +43,10 @@ def _lifted_pair(m: int):
 
 
 def _finite_counterexample(variant: str):
-    if variant == "z2-12":
-        return hadamard.spectrum_from_butson(hadamard.paper_h12())
-    if variant == "z3-6":
-        return hadamard.spectrum_from_butson(hadamard.paper_h6())
-    if variant == "z3-5":
-        return _descended_pair()
-    if variant == "z2-11":
-        g, t, l = hadamard.spectrum_from_butson(hadamard.paper_h12())
-        return hadamard.descend(g, t, l)
+    """z2-12 and z3-6 from the Butson matrices; z2-11 and z3-5 one descent down."""
+    matrix = hadamard.paper_h12() if variant.startswith("z2") else hadamard.paper_h6()
+    found = hadamard.spectrum_from_butson(matrix)
+    return hadamard.descend(*found) if variant in ("z2-11", "z3-5") else found
 
 
 def cmd_counterexample(args) -> int:
@@ -161,8 +156,8 @@ def cmd_counterexample(args) -> int:
 
 def cmd_scan(args) -> int:
     g = GroupSpec.from_descriptor(args.group)
-    if args.size is not None and args.size > g.order:
-        raise ValueError(f"--size {args.size} exceeds the group order {g.order}")
+    if args.size is not None and args.size > (order := spectra.scan_order(g)):
+        raise ValueError(f"--size {args.size} exceeds the group order {order}")
     summary = spectra.ScanSummary()
     for rec in spectra.scan_records(g, size_filter=args.size):
         summary.add(rec)

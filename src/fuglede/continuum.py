@@ -109,47 +109,40 @@ def verify_spectrum_truncation(
     deterministic seeded sample of pair indices.  Completeness of the full
     spectrum is not finitely checkable; this certifies orthogonality only.
 
-    Frequency f is numerator f // S plus shift f % S (S shifts).  Blocks of
-    pairs are decided by the rules of `inner_product_is_zero`, one lattice
-    sum per distinct delta; a repeated frequency (eta = 0) fails that sum.
+    Frequency f is numerator f // S plus shift f % S, n digits base 2K+1 that
+    are the coordinates plus K.  Pairs are decided in blocks by the rules of
+    `inner_product_is_zero`, one lattice sum per distinct delta, kept by its
+    code; a repeated frequency (eta = 0) fails that sum.
     """
     if k_radius < 0:
         raise ValueError("k_radius must be >= 0")
     denom, n = lambda1.denominator, omega1.dimension
-    nums = lambda1.rows(n)
-    side = 2 * k_radius + 1  # shifts in lexicographic order
-    shifts = np.indices((side,) * n).reshape(n, -1).T - k_radius
-    per = len(shifts)
-    count = len(nums) * per
+    nums, shape, side = lambda1.rows(n), (denom,) * n, (2 * k_radius + 1,) * n
+    count = len(nums) * (per := side[0] ** n)
     sampled = count * (count - 1) // 2 > pair_budget
     blocks = _sampled_pairs(count, pair_budget, seed) if sampled else _all_pairs(count)
-    known = np.zeros(0, dtype=np.int64)  # sorted codes of the deltas summed so far
-    zero = np.zeros(0, dtype=bool)  # zero[t]: the lattice sum at known[t] vanishes
+    # Per delta code: 0 unsummed, 1 nonzero sum, 2 vanishing sum (lazy zero pages).
+    memo = np.zeros(denom**n, dtype=np.int8)
     checked = 0
     for i, j in blocks:
         # Drawn pairs are unordered; the difference is taken from the lower index.
-        (num_a, num_b), (shift_a, shift_b) = np.divmod(np.sort([i, j], axis=0), per)
+        (num_a, num_b), shift = np.divmod(np.sort([i, j], axis=0), per)
         delta = (nums[num_a] - nums[num_b]) % denom
+        code = np.ravel_multi_index(delta.T, shape)
         # A cube factor vanishes where delta_k = 0 and the shifts differ (the
         # numerators are reduced, so no carry reaches such a coordinate).
-        ok = ((delta == 0) & (shifts[shift_a] != shifts[shift_b])).any(axis=1)
+        moved = [a != b for a, b in np.unravel_index(shift, side)]  # per axis
+        ok = ((delta.T == 0) & moved).any(axis=0)
         live = np.flatnonzero(~ok)
-        code = np.ravel_multi_index(delta[live].T, (denom,) * n)
-        codes, index, inverse = np.unique(code, return_index=True, return_inverse=True)
-        new = ~np.isin(codes, known)
-        rows = delta[live[index[new]]]
-        found = np.fromiter(
-            (character_sum_lattice(omega1, row, denom).is_zero() for row in rows),
-            dtype=bool,
-            count=len(rows),
-        )
-        at = np.searchsorted(known, codes[new])
-        known, zero = np.insert(known, at, codes[new]), np.insert(zero, at, found)
-        ok[live] = zero[np.searchsorted(known, codes)][inverse]
+        for r in live[memo[code[live]] == 0].tolist():
+            if not memo[c := code[r]]:  # not summed earlier in this block
+                memo[c] = 1 + character_sum_lattice(omega1, delta[r], denom).is_zero()
+        ok[live] = memo[code[live]] == 2
         if not ok.all():
             first = int(np.argmin(ok))
             num, shift = np.divmod([i[first], j[first]], per)
-            ends = zip(*[map(tuple, x.tolist()) for x in (nums[num], shifts[shift])])
+            shifts = np.transpose(np.unravel_index(shift, side)) - k_radius
+            ends = zip(*[map(tuple, x.tolist()) for x in (nums[num], shifts)])
             witness = tuple(ExtendedFrequency(v, denom, k) for v, k in ends)
             return TruncationResult(False, witness, checked + first + 1, sampled)
         checked += len(ok)

@@ -46,11 +46,13 @@ class GroupSpec:
 
     @classmethod
     def from_descriptor(cls, text: str) -> GroupSpec:
-        """Parse 'n', 'p^k', or 'n1xn2x...' (factors may use '^')."""
+        """Parse 'n', 'p^k', or 'n1xn2x...' (factors may use '^', 1 <= k <= 2^20)."""
         moduli: list[int] = []
         for factor in text.lower().split("x"):
             if "^" in factor:
                 base, _, exp = factor.partition("^")
+                if not 1 <= int(exp) <= 1 << 20:  # k factors are listed in memory
+                    raise ValueError(f"exponent of {factor!r} must be in 1..2^20")
                 moduli.extend([int(base)] * int(exp))
             else:
                 moduli.append(int(factor))

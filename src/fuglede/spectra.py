@@ -188,6 +188,20 @@ class ScanSummary:
         }
 
 
+def scan_order(g: GroupSpec) -> int:
+    """The order of g, or ValueError above SCAN_ORDER_LIMIT.  The product
+    stops there, so 2^200000 fails at once and its order is never named."""
+    order = 1
+    for k, n in enumerate(g.moduli, 1):
+        if (order := order * n) > SCAN_ORDER_LIMIT:
+            named = order if k == g.ndim else f"above {SCAN_ORDER_LIMIT}"
+            raise ValueError(
+                f"group of order {named} beyond subset enumeration"
+                f" (limit {SCAN_ORDER_LIMIT})"
+            )
+    return order
+
+
 def canonical_classes(
     g: GroupSpec, size_filter: Optional[int] = None
 ) -> Iterator[frozenset[Element]]:
@@ -212,11 +226,7 @@ def _class_blocks(
     are permuted a byte at a time through lookup tables: table[x, j][b]
     is the mask of {r - x : r in 8j + bits of b}.
     """
-    n = g.order
-    if n > SCAN_ORDER_LIMIT:
-        raise ValueError(
-            f"group of order {n} beyond subset enumeration (limit {SCAN_ORDER_LIMIT})"
-        )
+    n = scan_order(g)
     elements = list(map(tuple, g.coords.tolist()))  # shared by all classes
     nbytes = (n + 7) // 8
     # moved[x, r] = mask bit of (element r) - (element x); 0 past the order.

@@ -278,6 +278,14 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
             "FUGLEDE_BUDGET must be a non-negative integer, got 'abc'",
         ),
         (None, ["counterexample", "bogus"], 2, "invalid choice"),
+        (None, ["scan", "5x5"], 2, "group of order 25 beyond subset enumeration"),
+        (None, ["scan", "3x2^-1"], 2, "exponent of '2^-1' must be in 1..2^20"),
+        (None, ["scan", "2^0x3"], 2, "exponent of '2^0' must be in 1..2^20"),
+        (None, ["scan", "2^99999999999999999999"], 2, "must be in 1..2^20"),
+        # The order is multiplied out only up to the limit, and never printed.
+        (None, ["scan", "2^14000"], 2, "group of order above 24 beyond subset"),
+        (None, ["scan", "2^200000"], 2, "group of order above 24 beyond subset"),
+        (None, ["scan", "2^200000", "--size", "3"], 2, "group of order above 24"),
     ],
 )
 def test_failures_exit_cleanly_with_json(
@@ -355,13 +363,22 @@ def test_export_file_bytes_are_pinned(capsys, tmp_path):
 def test_sampled_continuum_does_not_import_numpy_random():
     # numpy.random would add its import time and resident memory to every
     # sampled continuum run; the sample is drawn from the stdlib generator.
+    # numpy.ma likewise (a bare np.unique imports it): neither is imported
+    # by the four benchmark commands at their smoke sizes either.
+    commands = [
+        "counterexample lattice --m 1",
+        "counterexample continuum --m 1 --k-radius 0",
+        "density --m 2 --l 3 --stride 1",
+        "scan 8",
+        "counterexample continuum --m 1 --k-radius 1 --pair-budget 50",
+    ]
     script = (
         "import sys\n"
         "from fuglede.cli import main\n"
-        "argv = ['--json', 'counterexample', 'continuum', '--m', '1',\n"
-        "        '--k-radius', '1', '--pair-budget', '50']\n"
-        "assert main(argv) == 0\n"
-        "assert 'numpy.random' not in sys.modules\n"
+        f"for command in {commands!r}:\n"
+        "    assert main(['--json', *command.split()]) == 0, command\n"
+        "for name in ('numpy.random', 'numpy.ma'):\n"
+        "    assert name not in sys.modules, name\n"
     )
     src = str(Path(fuglede.__file__).parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -370,4 +387,17 @@ def test_sampled_continuum_does_not_import_numpy_random():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["sampled"] is True
+    assert json.loads(proc.stdout.splitlines()[-1])["sampled"] is True
+
+
+def test_continuum_sample_at_the_largest_radius(capsys):
+    # 6 * 59^5 frequencies fit the 32-bit draws; no array grows with the
+    # (2K+1)^5 shifts, so K = 29 runs in the memory of K = 0.
+    argv = "--json counterexample continuum --m 1 --pair-budget 1000".split()
+    code, out = run(capsys, *argv, "--k-radius", "29")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pairs_checked"] == 1000 and payload["sampled"] is True
+    code, out = run(capsys, *argv, "--k-radius", "30")
+    assert code == 2
+    assert "at most 2^32 - 1" in json.loads(out)["error"]

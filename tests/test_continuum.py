@@ -1,12 +1,14 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuglede import continuum
 from fuglede.continuum import (
     CubeUnion,
     ExtendedFrequency,
@@ -23,6 +25,7 @@ from fuglede.lattice import (
     FrequencySet,
     build_lambda1,
     build_omega1,
+    character_sum_lattice,
     pair_verdicts_direct,
     verify_ortho_lattice,
 )
@@ -234,6 +237,34 @@ def test_sampled_pairs_are_the_randrange_draws(count):
 def test_sampled_pairs_reject_counts_of_33_bits():
     with pytest.raises(ValueError, match="2\\^32"):
         next(_sampled_pairs(2**32, 1, 0))
+
+
+def test_truncation_memory_is_flat_in_the_radius():
+    # Shifts are decoded from the frequency index and the memo is the
+    # (3M)^5 table, so K = 8 (6 * 17^5 frequencies) needs no shift array.
+    o1, l1 = lifted_pair(1)
+    tracemalloc.start()
+    try:
+        result = verify_spectrum_truncation(o1, l1, 8, pair_budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.valid and result.sampled and result.pairs_checked == 1000
+    assert peak < 5 * 2**20
+
+
+def test_each_difference_code_is_summed_once(monkeypatch, lifted):
+    o1, l1 = lifted
+    codes = []
+
+    def recording(omega1, delta, denom):
+        codes.append(tuple(int(d) for d in delta))
+        return character_sum_lattice(omega1, delta, denom)
+
+    monkeypatch.setattr(continuum, "character_sum_lattice", recording)
+    result = verify_spectrum_truncation(o1, l1, 1, pair_budget=100_000)
+    assert result.valid and result.pairs_checked == 100_000
+    assert len(codes) == len(set(codes)) == 2761
 
 
 @st.composite

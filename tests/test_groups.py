@@ -134,6 +134,17 @@ def test_descriptor_parsing():
     assert GroupSpec.from_descriptor("3^5").moduli == (3,) * 5
     assert GroupSpec.from_descriptor("12").moduli == (12,)
     assert GroupSpec.from_descriptor("4x2x3").moduli == (4, 2, 3)
+    assert GroupSpec.from_descriptor("2^1048576").moduli == (2,) * (1 << 20)
+
+
+@pytest.mark.parametrize(
+    "text", ["3x2^-1", "2^0x3", "2^1048577", "2^99999999999999999999"]
+)
+def test_descriptor_rejects_exponents_outside_1_to_2_20(text):
+    # A power p^k lists its k factors in memory, so k is at most 2^20.
+    message = r"exponent of '2\^-?\d+' must be in 1\.\.2\^20"
+    with pytest.raises(ValueError, match=message):
+        GroupSpec.from_descriptor(text)
 
 
 def test_json_roundtrip():
