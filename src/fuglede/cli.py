@@ -33,12 +33,15 @@ def _descended_pair():
     return hadamard.descend(g6, t6, l6)
 
 
-def _lifted_pair(m: int):
+def _lifted_pair(m: int, variant: str):
     """Omega_1 and Lambda_1 at scale m; scales whose order-3m zero tests the
-    cyclotomic kernel refuses are rejected before any point is built."""
+    cyclotomic kernel refuses, or whose lattice verdict table would pass its
+    memory budget, are rejected before any point is built."""
     if 3 * m > MAX_ORDER:
         raise ValueError(f"--m {m}: root order 3M = {3 * m} exceeds {MAX_ORDER}")
-    _, t5, l5 = _descended_pair()
+    g5, t5, l5 = _descended_pair()
+    if variant == "lattice":
+        lattice.check_table_budget(3 * m, g5.ndim)
     return lattice.build_omega1(t5, m), lattice.build_lambda1(l5, m)
 
 
@@ -77,66 +80,53 @@ def cmd_counterexample(args) -> int:
                 else None,
             }
         )
-    elif args.variant == "lattice":
-        omega1, lambda1 = _lifted_pair(args.m)
-        ortho = lattice.verify_ortho_lattice(omega1, lambda1)
-        checks.append(
-            (
-                f"orthogonality of {len(lambda1.numerators)} lifted frequencies "
-                f"({ortho.pairs} pairs)",
-                ortho.valid,
-                "verify_ortho_lattice",
-            )
-        )
-        cells = lattice.cell_count_check(omega1)
-        checks.append(("cell counts (6 points per aligned cell)", cells, "cell_count_check"))
+    else:
+        omega1, lambda1 = _lifted_pair(args.m, args.variant)
         obstruction = lattice.torus_non_tiling(omega1)
-        checks.append(
-            (
-                f"torus divisibility obstruction ({obstruction})",
-                obstruction is not None,
-                "torus_non_tiling",
+        payload["m"] = args.m
+        if args.variant == "lattice":
+            ortho = lattice.verify_ortho_lattice(omega1, lambda1)
+            cells = lattice.cell_count_check(omega1)
+            checks += [
+                (
+                    f"orthogonality of {len(lambda1.numerators)} lifted frequencies "
+                    f"({ortho.pairs} pairs)",
+                    ortho.valid,
+                    "verify_ortho_lattice",
+                ),
+                ("cell counts (6 points per aligned cell)", cells, "cell_count_check"),
+            ]
+            payload.update(
+                points=len(omega1.points),
+                pairs=ortho.pairs,
+                obstruction=obstruction.to_json() if obstruction else None,
             )
-        )
-        payload.update(
-            {
-                "m": args.m,
-                "points": len(omega1.points),
-                "pairs": ortho.pairs,
-                "obstruction": obstruction.to_json() if obstruction else None,
-            }
-        )
-    elif args.variant == "continuum":
-        omega1, lambda1 = _lifted_pair(args.m)
-        result = continuum.verify_spectrum_truncation(
-            omega1, lambda1, args.k_radius, pair_budget=args.pair_budget
-        )
-        checks.append(
-            (
-                f"orthogonality of the truncated spectrum "
-                f"(k radius {args.k_radius}, {result.pairs_checked} pairs"
-                + (", sampled)" if result.sampled else ")"),
-                result.valid,
-                "verify_spectrum_truncation",
+        else:
+            result = continuum.verify_spectrum_truncation(
+                omega1, lambda1, args.k_radius, pair_budget=args.pair_budget
             )
-        )
-        obstruction = lattice.torus_non_tiling(omega1)
-        checks.append(
-            (
-                f"torus divisibility obstruction ({obstruction})",
-                obstruction is not None,
-                "torus_non_tiling",
+            checks.append(
+                (
+                    f"orthogonality of the truncated spectrum "
+                    f"(k radius {args.k_radius}, {result.pairs_checked} pairs"
+                    + (", sampled)" if result.sampled else ")"),
+                    result.valid,
+                    "verify_spectrum_truncation",
+                )
             )
-        )
-        payload.update(
-            {
-                "m": args.m,
-                "k_radius": args.k_radius,
+            payload.update(
+                k_radius=args.k_radius,
                 # Omega_2 has one unit cube per lifted point, all distinct.
-                "measure": len(omega1.points),
-                "pairs_checked": result.pairs_checked,
-                "sampled": result.sampled,
-            }
+                measure=len(omega1.points),
+                pairs_checked=result.pairs_checked,
+                sampled=result.sampled,
+            )
+        checks.append(
+            (
+                f"torus divisibility obstruction ({obstruction})",
+                obstruction is not None,
+                "torus_non_tiling",
+            )
         )
 
     ok = all(passed for _, passed, _ in checks)

@@ -49,13 +49,21 @@ class GroupSpec:
         """Parse 'n', 'p^k', or 'n1xn2x...' (factors may use '^', 1 <= k <= 2^20)."""
         moduli: list[int] = []
         for factor in text.lower().split("x"):
-            if "^" in factor:
-                base, _, exp = factor.partition("^")
-                if not 1 <= int(exp) <= 1 << 20:  # k factors are listed in memory
-                    raise ValueError(f"exponent of {factor!r} must be in 1..2^20")
-                moduli.extend([int(base)] * int(exp))
-            else:
-                moduli.append(int(factor))
+            base, power, exp = factor.partition("^")
+            try:
+                base, exp = int(base), int(exp) if power else 1
+            except ValueError:  # not digits, or beyond int()'s digit limit
+                shown = [
+                    repr(s) if len(s) <= 24 else f"'{s[:12]}...' ({len(s)} characters)"
+                    for s in (text, factor)
+                ]
+                raise ValueError(
+                    f"group descriptor {shown[0]}: {shown[1]} is not a decimal integer "
+                    "within int()'s digit limit"
+                ) from None
+            if not 1 <= exp <= 1 << 20:  # k factors are listed in memory
+                raise ValueError(f"exponent of {factor!r} must be in 1..2^20")
+            moduli.extend([base] * exp)
         return cls(tuple(moduli))
 
     @property

@@ -16,17 +16,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import comb, gcd
-from typing import Iterable, Iterator, Optional
+from math import comb
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .cyclotomic import MAX_ORDER, CyclotomicInt, vanishing_sums
+from .cyclotomic import _EXACT, MAX_ORDER, CyclotomicInt, vanishing
 from .groups import GroupSpec
 from .spectra import fourier_zero_set
 from .tiling import DivisibilityObstruction
 
 Point = tuple[int, ...]
+TABLE_BUDGET = 1 << 28  # bytes for the verdict table; admits the lifts up to M = 8
 
 
 @dataclass(frozen=True)
@@ -120,73 +121,65 @@ def build_lambda1(base_spec: Iterable[Point], m_scale: int) -> FrequencySet:
     return FrequencySet(3 * m_scale, nums[np.lexsort(nums.T[::-1])])
 
 
-def _verdict_rows(omega1: LatticeSet, lambda1: FrequencySet) -> Iterator[np.ndarray]:
-    """Row i, for i in [0, count - 1): the exact zero/nonzero verdicts of the
-    character sum over omega1 at nu_j - nu_i for j > i, by direct summation.
-
-    A verdict depends only on d = (nu_j - nu_i) mod denom.  For u prime to
-    denom, omega -> omega^u is an automorphism of Q(omega_denom), so the sum
-    at d vanishes iff the sum at u*d mod denom does (Washington, GTM 83,
-    ch. 2).  Pass 1 marks the distinct d row by row in a dense denom^n
-    table; one representative per Galois orbit (the least code of u*d) is
-    summed over all points by the batched kernel `vanishing_sums`, and the
-    verdicts are copied back through the table; pass 2 recomputes each
-    row's codes and yields its verdicts read off the table.  When every
-    representative vanishes, pass 2 is skipped and each row is a read-only
-    all-True view.
-    """
-    denom, n, count = lambda1.denominator, omega1.dimension, len(lambda1.numerators)
-    if not 1 <= denom <= MAX_ORDER:  # before the denom^n table is allocated
+def check_table_budget(denom: int, n: int) -> None:
+    """ValueError unless the zero test has order denom and the table over
+    Z_denom^n fits TABLE_BUDGET: 32 bytes per code bound its float32 arrays,
+    verdicts and `vanishing`'s int64 copies, plus the 4 denom^4 axis matrix."""
+    if not 1 <= denom <= MAX_ORDER:
         raise ValueError(f"unsupported root order {denom}")
-    nums, shape = lambda1.rows(n), (denom,) * n
-    # The code of d is sum_k d_k * denom^(n-1-k), its index in the table.
-    # terms[k][a, j] is the axis-k term of the code of (nums[j] - a) mod denom,
-    # so a row's codes are n slices added, with no per-row modulo.
-    values, place = np.arange(denom)[:, None], denom ** np.arange(n - 1, -1, -1)
-    terms = [(column - values) % denom * w for column, w in zip(nums.T, place)]
+    if (need := 32 * denom**n + 4 * denom**4) > TABLE_BUDGET:
+        raise ValueError(
+            f"verdict table over Z_{denom}^{n} needs about {need >> 20} MiB, "
+            f"beyond its {TABLE_BUDGET >> 20} MiB budget"
+        )
 
-    def row_codes(i: int) -> np.ndarray:
-        return sum(term[a, i + 1 :] for term, a in zip(terms, nums[i]))
 
-    table = np.zeros(denom**n, dtype=bool)
-    for i in range(count - 1):
-        table[row_codes(i)] = True
-    codes = np.flatnonzero(table)
-    digits = np.empty((n, len(codes)), dtype=np.min_scalar_type(denom))
-    for digit, w in zip(digits, place):
-        digit[:] = codes // w % denom
-    rep, code, term = codes.copy(), np.empty_like(codes), np.empty_like(codes)
-    for u in range(2, denom):
-        if gcd(u, denom) == 1:
-            # lut[k][a] is the axis-k term of the code of u*d where d_k = a.
-            lut = np.arange(denom) * u % denom * place[:, None]
-            np.take(lut[0], digits[0], out=code)
-            for axis in range(1, n):
-                code += np.take(lut[axis], digits[axis], out=term)
-            np.minimum(rep, code, out=rep)
-    del digits, code, term
-    verdict = np.zeros(denom**n, dtype=bool)
-    verdict[rep] = True
-    # Orbit representatives as small-int rows in code order, that of verdict[verdict].
-    reps = np.argwhere(verdict.reshape(shape)).astype(np.min_scalar_type(denom))
-    zero = vanishing_sums(omega1.points, reps, denom)
-    if zero.all():  # every row is all True, so pass 2 has nothing to look up
-        full = np.ones(max(count - 1, 0), dtype=bool)
-        full.flags.writeable = False
-        yield from (full[i:] for i in range(count - 1))
-        return
-    verdict[verdict] = zero
-    table[table] = verdict[rep]
-    for i in range(count - 1):
-        yield table[row_codes(i)]
+def _vanishing_table(omega1: LatticeSet, denom: int) -> np.ndarray:
+    """Whether the character sum over omega1.points vanishes at d, for every
+    d in Z_denom^n, as a bool array indexed by the code of d (`_codes`).
+
+    The sums are the n-dimensional DFT of the points' counts mod denom, taken
+    exactly in Z[x]/(x^denom - 1) one axis at a time (the row-column scheme
+    of I. J. Good, JRSS B 20, 1958): omega^(d x) shifts a count vector
+    cyclically, so an axis step is one float32 product with the 0/1 matrix
+    T[(x, f), (d, e)] = [e = f + d x mod denom], exact as every partial sum
+    is an integer in [0, #points], #points < 2^24.  One d_0 at a time, the
+    x_0 axis takes the columns T[(x, 0), (d_0, .)] and the others go through
+    two reused denom^n buffers; `vanishing` decides each block's counts.
+    """
+    n = omega1.dimension
+    check_table_budget(denom, n)
+    if len(points := omega1.points) >= _EXACT:
+        raise ValueError(f"{len(points)} points: counts beyond float32's exact integers")
+    m, size = denom, denom**n
+    rest, rows = size // m, size // m // m  # codes per d_0 block; rows per step
+    x = np.arange(m)
+    step = (((x[:, None] + np.outer(x, x)[:, None]) % m)[..., None] == x).astype(np.float32)
+    counts = np.bincount(np.ravel_multi_index((points % m).T, (m,) * n), minlength=size)
+    counts = counts.astype(np.float32).reshape(m, rest).T  # [x_1..x_{n-1}, x_0]
+    a, b = np.empty(size, dtype=np.float32), np.empty(size, dtype=np.float32)
+    out = np.empty((m, rest), dtype=bool)
+    for d0 in range(m):
+        np.matmul(counts, step[:, 0, d0], out=a.reshape(rest, m))
+        for _ in range(n - 1):  # a is [x_k, ..., x_{n-1}, d_1, ..., d_{k-1}, e]
+            np.copyto(b.reshape(rows, m, m), a.reshape(m, rows, m).transpose(1, 0, 2))
+            np.matmul(b.reshape(rows, -1), step.reshape(m * m, -1), out=a.reshape(rows, -1))
+        out[d0] = vanishing(a.reshape(rest, m))
+    return out.reshape(size)
+
+
+def _codes(rows: np.ndarray, denom: int) -> np.ndarray:
+    """The table code of each integer row mod denom (row-major digits)."""
+    return np.ravel_multi_index(rows.T, (denom,) * rows.shape[1], mode="wrap")
 
 
 def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
-    """The verdict of every unordered frequency pair, in
-    itertools.combinations order: the rows of `_verdict_rows` end to end.
-    One bool per pair, for the tests and the cross-check with
-    `pair_verdicts_factored`; `verify_ortho_lattice` walks the rows."""
-    return np.concatenate([np.zeros(0, dtype=bool), *_verdict_rows(omega1, lambda1)])
+    """The verdict of every frequency pair, in itertools.combinations order,
+    gathered from the table; for the cross-check with the factored route."""
+    denom, nums = lambda1.denominator, lambda1.rows(omega1.dimension)
+    table = _vanishing_table(omega1, denom)
+    i, j = np.triu_indices(len(nums), 1)
+    return table[_codes(nums[j] - nums[i], denom)] if len(i) else np.zeros(0, bool)
 
 
 def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
@@ -207,16 +200,29 @@ def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndar
 
 def verify_ortho_lattice(omega1: LatticeSet, lambda1: FrequencySet) -> OrthoResult:
     """Valid iff every distinct frequency pair has vanishing character sum
-    over omega1, by the direct exact summation.  The verdict rows are walked
-    in pair order and the walk stops at the first failing pair, the witness;
-    nothing is stored per pair.  The tests check the verdicts against the
-    independent route `pair_verdicts_factored`."""
-    nums, pairs = lambda1.numerators, comb(len(lambda1.numerators), 2)
-    for i, row in enumerate(_verdict_rows(omega1, lambda1)):
+    over omega1, read off the table of all differences.  The nonvanishing
+    codes B are closed under d -> -d, so a row is in a failing pair iff its
+    numerator plus some b in B is another row's (|B| x count lookups); the
+    first such row holds the witness, the first failing pair in
+    combinations order, and only it is read.  For |B| >= count / 2 the rows
+    are walked from the first.  The tests check the verdicts against
+    `pair_verdicts_factored`."""
+    denom, nums = lambda1.denominator, lambda1.rows(omega1.dimension)
+    table, count = _vanishing_table(omega1, denom), len(nums)
+    rows: Iterable[int] = range(count - 1)
+    if 2 * len(bad := np.flatnonzero(~table)) < count:
+        present = np.bincount(_codes(nums, denom), minlength=len(table))
+        hit = np.zeros(count, dtype=bool)
+        digits = np.column_stack(np.unravel_index(bad, (denom,) * nums.shape[1]))
+        for code, b in zip(bad, digits):
+            hit |= present[_codes(nums + b, denom)] > (code == 0)  # 0: a repeat
+        rows = np.flatnonzero(hit)[:1]
+    for i in rows:
+        row = table[_codes(nums[i + 1 :] - nums[i], denom)]
         if not row.all():
             witness = nums[[i, i + 1 + int(np.argmin(row))]].tolist()
-            return OrthoResult(False, tuple(map(tuple, witness)), pairs)
-    return OrthoResult(True, pairs=pairs)
+            return OrthoResult(False, tuple(map(tuple, witness)), comb(count, 2))
+    return OrthoResult(True, pairs=comb(count, 2))
 
 
 def character_sum_lattice(
@@ -279,15 +285,8 @@ class DensityReport:
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "windows": self.windows,
-            "nonzero_windows": self.nonzero_windows,
-            "min_density": str(self.min_density),
-            "max_density": str(self.max_density),
-            "tolerance": str(self.tolerance),
-            "target": str(self.target),
-            "ok": self.ok,
-        }
+        """Every field, with the Fractions as strings."""
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(self).items()}
 
 
 def density_check(

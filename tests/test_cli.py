@@ -193,7 +193,7 @@ def test_verify_tiling_witness(capsys, group, complement, witness):
 @pytest.mark.parametrize(
     "stage,argv",
     [
-        ("_verdict_rows", ["counterexample", "lattice", "--m", "1"]),
+        ("_vanishing_table", ["counterexample", "lattice", "--m", "1"]),
         ("_lift", ["export", "--m", "1", "--out", "unused.json"]),
     ],
 )
@@ -215,6 +215,26 @@ def test_out_of_memory_is_bad_input(capsys, monkeypatch, tmp_path, stage, argv):
     assert code == 2 and captured.out == ""
     assert captured.err == "error: Unable to allocate 72.0 GiB for an array\n"
     assert not (tmp_path / "unused.json").exists()
+
+
+def test_lattice_scale_past_the_table_budget_exits_at_once(capsys, monkeypatch):
+    """--m 9 needs a verdict table over Z_27^5 beyond the budget: exit 2
+    before a point, a frequency or the table is built.  --m 8 is admitted."""
+    from fuglede import lattice
+
+    def unusable(*args, **kwargs):
+        raise AssertionError("built before the scale guard")
+
+    for name in ("build_omega1", "build_lambda1", "_vanishing_table"):
+        monkeypatch.setattr(lattice, name, unusable)
+    argv = ["counterexample", "lattice", "--m", "9"]
+    message = "verdict table over Z_27^5 needs about 439 MiB, beyond its 256 MiB budget"
+    code, out = run(capsys, "--json", *argv)
+    assert code == 2 and json.loads(out) == {"error": message}
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"
+    lattice.check_table_budget(24, 5)
 
 
 def test_corrupted_matrix_fails(capsys, tmp_path):
@@ -286,6 +306,7 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
         (None, ["scan", "2^14000"], 2, "group of order above 24 beyond subset"),
         (None, ["scan", "2^200000"], 2, "group of order above 24 beyond subset"),
         (None, ["scan", "2^200000", "--size", "3"], 2, "group of order above 24"),
+        (None, ["scan", "7" * 4400], 2, "(4400 characters) is not a decimal integer"),
     ],
 )
 def test_failures_exit_cleanly_with_json(

@@ -147,6 +147,28 @@ def test_descriptor_rejects_exponents_outside_1_to_2_20(text):
         GroupSpec.from_descriptor(text)
 
 
+SEVENS, CUT = "7" * 4400, "'777777777777...' (4400 characters)"
+POWER = "'2^7777777777...' (4402 characters)"
+
+
+@pytest.mark.parametrize(
+    "text,shown",
+    [
+        (SEVENS, f"{CUT}: {CUT}"),
+        ("3x" + SEVENS, f"'3x7777777777...' (4402 characters): {CUT}"),
+        ("2^" + SEVENS, f"{POWER}: {POWER}"),
+        ("4xab", "'4xab': 'ab'"),
+    ],
+)
+def test_descriptor_names_itself_for_unreadable_factors(text, shown):
+    # int() refuses more than 4,300 digits; the message stays short.
+    with pytest.raises(ValueError) as info:
+        GroupSpec.from_descriptor(text)
+    assert str(info.value) == (
+        f"group descriptor {shown} is not a decimal integer within int()'s digit limit"
+    )
+
+
 def test_json_roundtrip():
     g = GroupSpec((4, 3))
     assert g.to_json() == {"moduli": [4, 3]}

@@ -193,7 +193,10 @@ def test_frequency_rows_must_match_the_dimension(z3_5_pair, width, route):
         route(build_omega1(T5, 1), FrequencySet(3, rows))
 
 
-def test_direct_sums_once_per_galois_orbit(z3_5_pair, monkeypatch):
+def test_direct_zero_tests_every_code_once(z3_5_pair, monkeypatch):
+    """One `vanishing` call per leading coordinate d_0, over the 6^4 codes
+    of its block: every difference in Z_6^5 is decided once, and 213 of
+    them, d = 0 among them, have a nonvanishing sum."""
     T5, L5 = z3_5_pair
     o1 = build_omega1(T5, 2)
     l1 = build_lambda1(L5, 2)
@@ -203,17 +206,42 @@ def test_direct_sums_once_per_galois_orbit(z3_5_pair, monkeypatch):
         rows.append(len(counts))
         return vanishing(counts)
 
-    monkeypatch.setattr(cyclotomic, "vanishing", counting_vanishing)
+    monkeypatch.setattr(lattice, "vanishing", counting_vanishing)
     verdicts = pair_verdicts_direct(o1, l1)
-    distinct = {
-        tuple((b - a) % 6 for a, b in zip(ni, nj))
-        for ni, nj in itertools.combinations(l1.numerators, 2)
-    }
-    # u*d for the units u of Z_6 (1 and 5): one kernel row per orbit.
-    orbits = {min(tuple(u * c % 6 for c in d) for u in (1, 5)) for d in distinct}
     assert len(verdicts) == 18336 and verdicts.all()
-    assert (len(distinct), len(orbits)) == (2765, 2231)
-    assert sum(rows) == len(orbits)
+    assert rows == [6**4] * 6
+    table = lattice._vanishing_table(o1, 6)
+    assert (~table).sum() == 213 and not table[0]
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_nonvanishing_codes_are_213_at_every_scale(z3_5_pair, m):
+    T5, _ = z3_5_pair
+    table = lattice._vanishing_table(build_omega1(T5, m), 3 * m)
+    assert table.shape == ((3 * m) ** 5,) and (~table).sum() == 213
+
+
+def test_witness_from_the_code_lookups_at_m3(z3_5_pair):
+    """At M=3 (1,458 frequencies, 213 nonvanishing codes) the witness comes
+    from the |B| x count lookups, not a row walk: it is the first failing
+    pair of the gathered verdicts, for a repeat and for bumps at the start,
+    middle and end of the rows."""
+    T5, L5 = z3_5_pair
+    o1 = build_omega1(T5, 3)
+    nums = build_lambda1(L5, 3).numerators.tolist()
+    count = len(nums)
+    bad_sets = [nums[:701] + nums[700:701] + nums[702:]]
+    for start in (0, 700, 1450):
+        bumped = [list(v) for v in nums]
+        bumped[start][4] = (bumped[start][4] + 1) % 9
+        bad_sets.append(bumped)
+    for bad_nums in bad_sets:
+        bad = FrequencySet(9, bad_nums)
+        result = verify_ortho_lattice(o1, bad)
+        first = int(np.argmin(pair_verdicts_direct(o1, bad)))
+        i, j = (int(k[first]) for k in np.triu_indices(count, 1))
+        assert not result.valid and result.pairs == count * (count - 1) // 2
+        assert result.witness == (tuple(bad_nums[i]), tuple(bad_nums[j]))
 
 
 @st.composite
@@ -313,7 +341,7 @@ def corrupted_lattice_sets(draw):
 @settings(deadline=None)
 @given(corrupted_lattice_sets())
 def test_direct_matches_per_pair_sums_on_corrupted_points(sets):
-    """The orbit reduction holds for any integer point set, not only lifts,
+    """The table holds for any integer point set, not only lifts,
     where the factored route cannot serve as the check."""
     o1, l1 = sets
     reference = [
@@ -321,6 +349,37 @@ def test_direct_matches_per_pair_sums_on_corrupted_points(sets):
         for ni, nj in itertools.combinations(l1.numerators, 2)
     ]
     assert pair_verdicts_direct(o1, l1).tolist() == reference
+
+
+@st.composite
+def counted_point_sets(draw):
+    """Integer points in n = 1..3 dimensions and a modulus m = 1..12:
+    signed, outside [0, m), some repeated mod m, and half the time a
+    product of per-axis sets whose sums vanish at many d."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    coord = st.integers(-2 * m, 3 * m)
+    points = draw(st.lists(st.tuples(*[coord] * n), max_size=8))
+    if any(m % p == 0 for p in (2, 3, 5, 7)) and draw(st.booleans()):
+        points += itertools.product(*[draw(_axis_sets(m)) for _ in range(n)])
+    if points:
+        copies = draw(st.lists(st.sampled_from(points), max_size=4))
+        wrap = st.integers(-2, 2)
+        points += [tuple(c + m * draw(wrap) for c in p) for p in copies]
+    o1 = build_omega1([(0,) * n], 1)
+    vars(o1)["points"] = np.array(points, dtype=np.int64).reshape(-1, n)
+    return o1, m
+
+
+@settings(deadline=None)
+@given(counted_point_sets())
+def test_table_matches_vanishing_sums_at_every_difference(case):
+    """The transform against the independent kernel, at every d in Z_m^n in
+    code order."""
+    o1, m = case
+    every = np.indices((m,) * o1.dimension).reshape(o1.dimension, -1).T
+    table = lattice._vanishing_table(o1, m)
+    assert table.dtype == bool
+    assert table.tolist() == cyclotomic.vanishing_sums(o1.points, every, m).tolist()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
