@@ -6,6 +6,10 @@ Exit status: 0 when every verification in the invoked pipeline passes,
 budget runs out.  With --json the output is deterministic machine-readable
 JSON on every path, including failures.  On exit 3, scan has already
 printed the records it made before the budget ran out.
+
+Each command imports the modules it runs when it runs: `scan` loads only
+`cyclotomic`, `groups`, `tiling` and `spectra`, and the lattice and density
+commands never load `continuum`.
 """
 
 from __future__ import annotations
@@ -15,41 +19,43 @@ import json
 import sys
 from pathlib import Path
 
-from . import continuum, hadamard, lattice, spectra, tiling
+from . import spectra, tiling
 from .cyclotomic import MAX_ORDER
 from .groups import GroupSpec, element_set_from_json, element_set_to_json
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(_ENCODER.encode(payload))
     else:
         for line in human_lines:
             print(line)
 
 
-def _descended_pair():
-    g6, t6, l6 = hadamard.spectrum_from_butson(hadamard.paper_h6())
-    return hadamard.descend(g6, t6, l6)
+def _finite_counterexample(variant: str):
+    """z2-12 and z3-6 from the Butson matrices; z2-11 and z3-5 one descent down.
+    z3-5 is also the pair that the lattice, export and density commands lift."""
+    from . import hadamard
+
+    matrix = hadamard.paper_h12() if variant.startswith("z2") else hadamard.paper_h6()
+    found = hadamard.spectrum_from_butson(matrix)
+    return hadamard.descend(*found) if variant in ("z2-11", "z3-5") else found
 
 
 def _lifted_pair(m: int, variant: str):
     """Omega_1 and Lambda_1 at scale m; scales whose order-3m zero tests the
     cyclotomic kernel refuses, or whose lattice verdict table would pass its
     memory budget, are rejected before any point is built."""
+    from . import lattice
+
     if 3 * m > MAX_ORDER:
         raise ValueError(f"--m {m}: root order 3M = {3 * m} exceeds {MAX_ORDER}")
-    g5, t5, l5 = _descended_pair()
+    g5, t5, l5 = _finite_counterexample("z3-5")
     if variant == "lattice":
         lattice.check_table_budget(3 * m, g5.ndim)
     return lattice.build_omega1(t5, m), lattice.build_lambda1(l5, m)
-
-
-def _finite_counterexample(variant: str):
-    """z2-12 and z3-6 from the Butson matrices; z2-11 and z3-5 one descent down."""
-    matrix = hadamard.paper_h12() if variant.startswith("z2") else hadamard.paper_h6()
-    found = hadamard.spectrum_from_butson(matrix)
-    return hadamard.descend(*found) if variant in ("z2-11", "z3-5") else found
 
 
 def cmd_counterexample(args) -> int:
@@ -81,6 +87,8 @@ def cmd_counterexample(args) -> int:
             }
         )
     else:
+        from . import lattice
+
         omega1, lambda1 = _lifted_pair(args.m, args.variant)
         obstruction = lattice.torus_non_tiling(omega1)
         payload["m"] = args.m
@@ -102,8 +110,13 @@ def cmd_counterexample(args) -> int:
                 obstruction=obstruction.to_json() if obstruction else None,
             )
         else:
+            from . import continuum
+
+            budget = args.pair_budget
+            if budget is None:  # not given
+                budget = continuum.DEFAULT_PAIR_BUDGET
             result = continuum.verify_spectrum_truncation(
-                omega1, lambda1, args.k_radius, pair_budget=args.pair_budget
+                omega1, lambda1, args.k_radius, pair_budget=budget
             )
             checks.append(
                 (
@@ -152,7 +165,7 @@ def cmd_scan(args) -> int:
     for rec in spectra.scan_records(g, size_filter=args.size):
         summary.add(rec)
         if args.json:
-            print(json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":")))
+            print(_ENCODER.encode(rec.to_json()))
         else:
             print(f"set {list(rec.elements)}: spectral={rec.spectral} tiles={rec.tiles}")
     line = (
@@ -174,7 +187,9 @@ def _load_set(g: GroupSpec, text: str):
     return element_set_from_json(g, json.loads(Path(text).read_text()))
 
 
-def _load_matrix(text: str) -> hadamard.ButsonMatrix:
+def _load_matrix(text: str):
+    from . import hadamard
+
     if text == "h12":
         return hadamard.paper_h12()
     if text == "h6":
@@ -184,6 +199,8 @@ def _load_matrix(text: str) -> hadamard.ButsonMatrix:
 
 def cmd_verify(args) -> int:
     if args.matrix is not None:
+        from . import hadamard
+
         H = _load_matrix(args.matrix)
         check = hadamard.verify_butson(H)
         payload = {
@@ -239,7 +256,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    _, t5, l5 = _descended_pair()
+    from . import continuum, lattice
+
+    _, t5, l5 = _finite_counterexample("z3-5")
     omega1 = lattice.build_omega1(t5, args.m)
     lambda1 = lattice.build_lambda1(l5, args.m)
     omega2 = continuum.build_omega2(omega1)
@@ -253,7 +272,9 @@ def cmd_export(args) -> int:
 
 
 def cmd_density(args) -> int:
-    _, t5, _ = _descended_pair()
+    from . import lattice
+
+    _, t5, _ = _finite_counterexample("z3-5")
     omega1 = lattice.build_omega1(t5, args.m)
     report = lattice.density_check(omega1, args.l, stride=args.stride)
     lines = [
@@ -305,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--pair-budget",
         type=_at_least(1),
-        default=continuum.DEFAULT_PAIR_BUDGET,
         dest="pair_budget",
     )
     p.set_defaults(func=cmd_counterexample)

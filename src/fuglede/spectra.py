@@ -212,14 +212,15 @@ def canonical_classes(
     popcount are walked, in the same increasing order.
     """
     for classes, _ in _class_blocks(g, size_filter):
-        yield from classes
+        yield from map(frozenset, classes)
 
 
 def _class_blocks(
     g: GroupSpec, size_filter: Optional[int]
-) -> Iterator[tuple[list[frozenset[Element]], np.ndarray]]:
+) -> Iterator[tuple[list[tuple[Element, ...]], np.ndarray]]:
     """The canonical classes in increasing mask order, at most _CLASS_BLOCK
-    per block, with their bool membership rows over ranks.
+    per block, as element tuples in rank order, with their bool membership
+    rows over ranks.
 
     A mask containing 0 is canonical when no translate by -x, x in the
     mask, has a smaller mask.  The translates of a whole block of masks
@@ -250,7 +251,10 @@ def _class_blocks(
         member = member[~(member.T & (shifted < masks)).any(axis=0)]
         for lo in range(0, len(member), _CLASS_BLOCK):
             chunk = member[lo : lo + _CLASS_BLOCK]
-            yield [frozenset(compress(elements, row)) for row in chunk.tolist()], chunk
+            # Through a list, so each tuple is made at its final size: tuples
+            # resized while built would pile up in CPython's tuple free lists.
+            classes = [tuple(list(compress(elements, row))) for row in chunk.tolist()]
+            yield classes, chunk
 
 
 @lru_cache(maxsize=None)
@@ -274,18 +278,16 @@ def _masks_with_popcount(width: int, ones: int) -> Iterator[int]:
         mask = (((mask + low) ^ mask) >> 2) // low | (mask + low)
 
 
-def scan_class(
-    g: GroupSpec, T: frozenset[Element], zero: Optional[np.ndarray] = None
-) -> ScanRecord:
-    spec = find_spectrum(g, T, zero)
-    tile = tiling.find_tiling(g, T)
+def scan_class(g: GroupSpec, T: frozenset[Element]) -> ScanRecord:
+    """One class through both searches: the reference for scan_records."""
+    elements = tuple(sorted(T))  # rank order is lexicographic order
+    return _record(elements, find_spectrum(g, T), tiling.find_tiling(g, T))
+
+
+def _record(elements, spec: SpectrumSearch, tile: tiling.TilingResult) -> ScanRecord:
     return ScanRecord(
-        elements=tuple(sorted(T)),  # rank order is lexicographic order
-        spectral=spec.spectral,
-        tiles=tile.tiles,
-        spectrum=spec.spectrum,
-        complement=tile.complement,
-        obstruction=tile.obstruction,
+        elements, spec.spectral, tile.tiles,
+        spec.spectrum, tile.complement, tile.obstruction,
     )
 
 
@@ -293,13 +295,33 @@ def scan_records(
     g: GroupSpec, size_filter: Optional[int] = None
 ) -> Iterator[ScanRecord]:
     """The record of every subset class, in canonical order, each made
-    when it is asked for."""
+    when it is asked for.  Only a class with #T > 1 and at least #T - 1
+    Fourier zeros reaches find_spectrum, and only one whose #T divides the
+    order reaches find_tiling; the rest get those functions' early returns.
+    """
+    order = scan_order(g)
+    tiling.resolve_node_budget()  # a bad value fails before the first record
+    # The early returns of find_spectrum and find_tiling, by #T.
+    alone, not_spectral = SpectrumSearch(True, (g.identity(),)), SpectrumSearch(False)
+    obstructed = {
+        k: tiling.TilingResult(False, None, tiling.DivisibilityObstruction(k, order))
+        for k in range(2, order) if order % k
+    }
     for classes, member in _class_blocks(g, size_filter):
         # Z(T) of the whole block from one kernel call; the sum at 0 is #T.
         counts = member @ _pairing_onehot(g)
         zeros = vanishing(counts.reshape(len(member), g.order, g.exponent))
-        for T, zero in zip(classes, zeros):
-            yield scan_class(g, T, zero)
+        sizes = member.sum(axis=1)
+        search = (zeros.sum(axis=1) >= sizes - 1) & (sizes > 1)
+        cover = order % sizes == 0
+        rows = zip(classes, zeros, sizes.tolist(), search.tolist(), cover.tolist())
+        for T, zero, size, searched, covered in rows:
+            if searched:
+                spec = find_spectrum(g, T, zero)
+            else:
+                spec = alone if size == 1 else not_spectral
+            tile = tiling.find_tiling(g, T) if covered else obstructed[size]
+            yield _record(T, spec, tile)
 
 
 def fuglede_scan(

@@ -307,6 +307,15 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
         (None, ["scan", "2^200000"], 2, "group of order above 24 beyond subset"),
         (None, ["scan", "2^200000", "--size", "3"], 2, "group of order above 24"),
         (None, ["scan", "7" * 4400], 2, "(4400 characters) is not a decimal integer"),
+        # The group is checked before the budget; the budget is checked once,
+        # before the first record, even when no class reaches a search.
+        ("abc", ["scan", "25"], 2, "group of order 25 beyond subset enumeration"),
+        (
+            "abc",
+            ["scan", "5", "--size", "2"],
+            2,
+            "FUGLEDE_BUDGET must be a non-negative integer, got 'abc'",
+        ),
     ],
 )
 def test_failures_exit_cleanly_with_json(
@@ -350,6 +359,7 @@ GOLDEN_STDOUT = {
     "counterexample z2-11": "e7c260f9d2b5af4b4de8d5d9e2d4b22fc76f49f6c965ff775f8682f9db8c1c11",
     "scan 12": "016e424036f29cb52da5afb2f37ccd1dd9340ba41866ba7f657a3e7c610f0c44",
     "scan 15": "399816b5fca1f96bb303def0e4b6c99ec74cf4a6dcc7604a84e2f100272681e9",
+    "scan 18": "4bbc0049743781d3305d613c78245bfe803a614db5ddc5409f2b66a44c6efb7d",
     "scan 16 --size 4": "061b683fa91823d8b2fae614f15603088bacc9f8fe49370a8bfba39d1abd305f",
     "scan 2^4": "261536e3206c3cc0d660652348c15b9ebc37bef1e36ba9a88cb64f2f6168ac8e",
     "scan 3x3": "0ecf9f18138d299284cf68288a2a0208ed7cb34f8adfa762c66721c4594ba26f",
@@ -381,6 +391,16 @@ def test_export_file_bytes_are_pinned(capsys, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == golden
 
 
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """script in a fresh interpreter that imports fuglede from this checkout."""
+    src = str(Path(fuglede.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+
+
 def test_sampled_continuum_does_not_import_numpy_random():
     # numpy.random would add its import time and resident memory to every
     # sampled continuum run; the sample is drawn from the stdlib generator.
@@ -401,14 +421,70 @@ def test_sampled_continuum_does_not_import_numpy_random():
         "for name in ('numpy.random', 'numpy.ma'):\n"
         "    assert name not in sys.modules, name\n"
     )
-    src = str(Path(fuglede.__file__).parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["sampled"] is True
+
+
+@pytest.mark.parametrize(
+    "command,unloaded",
+    [
+        (
+            "scan 8",
+            ["fuglede.hadamard", "fuglede.lattice", "fuglede.continuum", "fractions"],
+        ),
+        ("counterexample lattice --m 1", ["fuglede.continuum"]),
+        ("density --m 2 --l 3 --stride 1", ["fuglede.continuum"]),
+    ],
+)
+def test_commands_import_only_the_modules_they_run(command, unloaded):
+    script = (
+        "import sys\n"
+        "from fuglede.cli import main\n"
+        f"assert main(['--json', *{command.split()!r}]) == 0\n"
+        f"print([name for name in {unloaded!r} if name in sys.modules])\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# The names `from fuglede import *` gave when the package imported every
+# submodule eagerly.
+PUBLIC_NAMES = """
+    ButsonMatrix CubeUnion CyclotomicInt DivisibilityObstruction ExtendedFrequency
+    FrequencySet GroupSpec LatticeSet SpectrumSearch SpectrumVerification
+    TilingResult build_lambda1 build_omega1 build_omega2 cell_count_check
+    cyclotomic_polynomial density_check descend divisibility_check
+    export_geometry find_spectrum find_tiling fourier_zero_set fuglede_scan
+    inner_product_is_zero is_spectrum load_geometry pad_dimension paper_h6
+    paper_h12 spectrum_from_butson torus_non_tiling verify_butson
+    verify_ortho_lattice verify_spectrum_truncation verify_tiling window_count
+""".split()
+
+
+def test_lazy_exports_are_the_submodules_objects():
+    script = (
+        "import importlib\n"
+        "import fuglede\n"
+        "names = {}\n"
+        "exec('from fuglede import *', names)\n"
+        "del names['__builtins__']\n"
+        "for name, value in names.items():\n"
+        "    module = importlib.import_module(value.__module__)\n"
+        "    assert getattr(module, name) is value, name\n"
+        "try:\n"
+        "    fuglede.nonexistent\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+        "print(sorted(names))\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    error, names = proc.stdout.splitlines()
+    assert error == "module 'fuglede' has no attribute 'nonexistent'"
+    assert names == str(sorted(PUBLIC_NAMES))
+    assert len(PUBLIC_NAMES) == 37
 
 
 def test_continuum_sample_at_the_largest_radius(capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fuglede.groups import GroupSpec
 from fuglede.hadamard import descend, paper_h6, paper_h12, spectrum_from_butson
-from fuglede import spectra
+from fuglede import spectra, tiling
 from fuglede.spectra import (
     SearchBudgetExceeded,
     canonical_classes,
@@ -231,7 +231,8 @@ def test_size_filtered_scan_matches_full_scan(monkeypatch, descriptor, blocks):
 
 @pytest.mark.parametrize("descriptor", ["15", "2^4", "3x3", "12"])
 def test_scan_zero_rows_match_fourier_zero_set(monkeypatch, descriptor):
-    """The scan hands each class its block-computed Z(T) row; the row must
+    """The scan hands a class its block-computed Z(T) row exactly when a
+    clique search can run: #T > 1 and at least #T - 1 zeros.  The row must
     be the rank mask of fourier_zero_set, and searching with it must give
     the same result, node count included, as searching without it."""
     g = GroupSpec.from_descriptor(descriptor)
@@ -239,17 +240,65 @@ def test_scan_zero_rows_match_fourier_zero_set(monkeypatch, descriptor):
     seen = []
 
     def recording(g, T, zero=None):
-        seen.append((T, zero))
+        seen.append((frozenset(T), zero))
         return search(g, T, zero)
 
     monkeypatch.setattr(spectra, "find_spectrum", recording)
     records, _ = fuglede_scan(g)
-    assert [frozenset(rec.elements) for rec in records] == [T for T, _ in seen]
-    for T, zero in seen:
+    handed = dict(seen)
+    classes = [frozenset(rec.elements) for rec in records]
+    assert [T for T, _ in seen] == [T for T in classes if T in handed]
+    for T in classes:
+        zeros = fourier_zero_set(g, T)
+        if T not in handed:
+            # find_spectrum would return at once, before any search node.
+            assert len(T) == 1 or len(zeros) < len(T) - 1
+            continue
+        assert len(T) > 1 and len(zeros) >= len(T) - 1
+        zero = handed[T]
         expected = np.zeros(g.order, dtype=bool)
-        expected[g.ranks(sorted(fourier_zero_set(g, T)))] = True
+        expected[g.ranks(sorted(zeros))] = True
         assert zero.dtype == bool and zero.tolist() == expected.tolist()
         assert search(g, T, zero) == search(g, T)
+
+
+@pytest.mark.parametrize("blocks", ["default", "small"])
+@pytest.mark.parametrize("descriptor", ["15", "2^4", "3x3", "12", "2x4"])
+def test_scan_records_match_the_per_class_route(monkeypatch, descriptor, blocks):
+    """scan_records decides most classes from the block's zero and
+    membership rows; scan_class runs both searches on each class with no
+    zero row, and every record must come out the same."""
+    g = GroupSpec.from_descriptor(descriptor)
+    expected = [scan_class(g, T) for T in canonical_classes(g)]
+    if blocks == "small":
+        monkeypatch.setattr(spectra, "_MASK_BLOCK", 7)
+        monkeypatch.setattr(spectra, "_CLASS_BLOCK", 3)
+    assert fuglede_scan(g)[0] == expected
+    for size in range(1, g.order + 1):
+        assert fuglede_scan(g, size_filter=size)[0] == [
+            rec for rec in expected if len(rec.elements) == size
+        ]
+
+
+def test_scan_searches_only_the_classes_the_block_leaves_open(monkeypatch):
+    """On Z_15, 32 of the 2,191 classes can hold a spectrum of their size
+    by the zero count, and 234 have a size dividing 15."""
+    calls = {"find_spectrum": 0, "find_tiling": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    counted(spectra, "find_spectrum")
+    counted(tiling, "find_tiling")
+    records, _ = fuglede_scan(GroupSpec.cyclic(15))
+    assert len(records) == 2191
+    assert calls == {"find_spectrum": 32, "find_tiling": 234}
 
 
 def test_scan_z4_clean():
