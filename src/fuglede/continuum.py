@@ -19,6 +19,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .cyclotomic import vanishing
 from .groups import integer_rows
 from .lattice import FrequencySet, LatticeSet, Point, character_sum_lattice, int64_rows
 
@@ -92,7 +93,7 @@ def inner_product_is_zero(
         raise ValueError("eta = 0: the self inner product is the measure")
     if any(d == 0 and s != 0 for d, s in zip(delta, shift)):
         return True
-    return character_sum_lattice(omega1, delta, denominator).is_zero()
+    return bool(vanishing(character_sum_lattice(omega1, [delta], denominator))[0])
 
 
 def verify_spectrum_truncation(
@@ -112,7 +113,7 @@ def verify_spectrum_truncation(
     Frequency f is numerator f // S plus shift f % S, n digits base 2K+1 that
     are the coordinates plus K.  Pairs are decided in blocks by the rules of
     `inner_product_is_zero`, one lattice sum per distinct delta, kept by its
-    code; a repeated frequency (eta = 0) fails that sum.
+    code, batched per block; a repeated frequency (eta = 0) fails that sum.
     """
     if k_radius < 0:
         raise ValueError("k_radius must be >= 0")
@@ -133,11 +134,13 @@ def verify_spectrum_truncation(
         # numerators are reduced, so no carry reaches such a coordinate).
         moved = [a != b for a, b in np.unravel_index(shift, side)]  # per axis
         ok = ((delta.T == 0) & moved).any(axis=0)
-        live = np.flatnonzero(~ok)
-        for r in live[memo[code[live]] == 0].tolist():
-            if not memo[c := code[r]]:  # not summed earlier in this block
-                memo[c] = 1 + character_sum_lattice(omega1, delta[r], denom).is_zero()
-        ok[live] = memo[code[live]] == 2
+        live = code[dead := ~ok]
+        if (new := np.sort(live[memo[live] == 0])).size:
+            # Sorted codes repeat only next to each other; np.unique imports numpy.ma.
+            new = new[np.r_[True, new[1:] != new[:-1]]]
+            deltas = np.transpose(np.unravel_index(new, shape))
+            memo[new] = 1 + vanishing(character_sum_lattice(omega1, deltas, denom))
+        ok[dead] = memo[live] == 2
         if not ok.all():
             first = int(np.argmin(ok))
             num, shift = np.divmod([i[first], j[first]], per)
@@ -175,7 +178,8 @@ def _sampled_pairs(count: int, budget: int, seed: int) -> Pairs:
     words = np.zeros(0, dtype=np.uint32)
     for lo in range(0, budget, _BLOCK):
         need = 2 * min(_BLOCK, budget - lo)
-        draws, used = _decode(words, count)
+        # A draw takes at least one word, so fewer words cannot hold `need`.
+        draws, used = _decode(words, count) if len(words) >= need else ((), ())
         while len(draws) < need:
             more = 2 * (need - len(draws)) + 64  # an attempt is kept with p >= 1/2
             fresh = getrandbits(32 * more).to_bytes(4 * more, "little")

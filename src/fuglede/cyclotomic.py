@@ -4,9 +4,9 @@ A value is stored as a length-m integer coefficient vector c with
 value = sum_k c[k] * omega_m^k, omega_m = e^{2*pi*i/m}.  Zero testing
 reduces the coefficient polynomial modulo the m-th cyclotomic polynomial,
 so every vanishing-sum claim is decided exactly, by the one batched kernel
-`vanishing`, fed whole batches of sums by `vanishing_sums`.  The exponents
-d . x of those sums come from a float32 BLAS product whose every value is
-an integer in [0, 2^24], where float32 is exact.
+`vanishing`, fed whole batches of root counts by `_root_counts`.  The
+exponents d . x of those sums come from a float32 BLAS product whose every
+value is an integer in [0, 2^24], where float32 is exact.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 MAX_ORDER = 64
-_BATCH = 1 << 16  # product entries and bins per chunk in vanishing_sums; <= _EXACT
+_BATCH = 1 << 16  # product entries and bins per chunk in _root_counts; <= _EXACT
 _EXACT = 1 << 24  # float32 holds every integer in [0, 2^24] exactly
 
 
@@ -93,7 +93,15 @@ def vanishing(counts) -> np.ndarray:
 
 def vanishing_sums(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray:
     """Per row d of deltas, whether sum over rows x of the integer points of
-    omega_m ** (d . x) vanishes.
+    omega_m ** (d . x) vanishes: `vanishing` on each chunk of `_root_counts`."""
+    out = [vanishing(counts) for counts in _root_counts(points, deltas, m)]
+    return np.concatenate(out) if out else np.zeros(0, dtype=bool)
+
+
+def _root_counts(points: np.ndarray, deltas: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """Per chunk of consecutive rows d of deltas, the (k, m) int64 root
+    multiplicities of sum over rows x of the integer points of
+    omega_m ** (d . x): entry e of a row counts the x with d . x = e mod m.
 
     omega_m ** (d . x) depends only on d and x mod m, so both are reduced
     once; then every exponent d . x lies in [0, W) with
@@ -103,10 +111,10 @@ def vanishing_sums(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray
     partial sum of that product is a nonnegative integer below rows * W,
     which a chunk keeps within float32's exact integers (2^24), so the
     product is exact in any summation order.  One bincount per chunk, with
-    bins folded mod m, gives each row's root multiplicities for `vanishing`.
-    A chunk holds at most _BATCH product entries and _BATCH bins, or one
-    row; ValueError if a single row's W exceeds 2^24, or if points or
-    deltas are not integer arrays (a float entry may already be rounded).
+    bins folded mod m, gives each row's root multiplicities.  A chunk holds
+    at most _BATCH product entries and _BATCH bins, or one row; ValueError
+    if a single row's W exceeds 2^24, or if points or deltas are not integer
+    arrays (a float entry may already be rounded).
     """
     points, deltas = np.asarray(points), np.asarray(deltas)
     if not all(np.issubdtype(a.dtype, np.integer) for a in (points, deltas)):
@@ -124,7 +132,6 @@ def vanishing_sums(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray
     lhs[:, -1] = np.arange(0, rows * width, width)
     exps = np.empty((rows, len(points)), dtype=np.float32)
     index = np.empty(exps.shape, dtype=np.intp)
-    out = np.empty(len(deltas), dtype=bool)
     for lo in range(0, len(deltas), step):
         chunk = deltas[lo : lo + step]
         k = len(chunk)
@@ -132,8 +139,7 @@ def vanishing_sums(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray
         np.matmul(lhs[:k], aug, out=exps[:k])
         index[:k] = exps[:k]
         counts = np.bincount(index[:k].ravel(), minlength=k * width)
-        out[lo : lo + k] = vanishing(counts.reshape(k, width // m, m).sum(axis=1))
-    return out
+        yield counts.reshape(k, width // m, m).sum(axis=1)
 
 
 def first_nonvanishing_pair(points, rows, m: int) -> Optional[tuple[int, int]]:

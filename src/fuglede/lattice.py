@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .cyclotomic import _EXACT, MAX_ORDER, CyclotomicInt, vanishing
+from .cyclotomic import _EXACT, MAX_ORDER, _root_counts, vanishing
 from .groups import GroupSpec
 from .spectra import fourier_zero_set
 from .tiling import DivisibilityObstruction
@@ -225,12 +225,12 @@ def verify_ortho_lattice(omega1: LatticeSet, lambda1: FrequencySet) -> OrthoResu
     return OrthoResult(True, pairs=comb(count, 2))
 
 
-def character_sum_lattice(
-    omega1: LatticeSet, delta: Point, denom: int
-) -> CyclotomicInt:
-    """sum over x in omega1 of omega_denom ** (delta . x), exactly."""
-    exps = omega1.points @ np.asarray(delta, dtype=np.int64) % denom
-    return CyclotomicInt(denom, tuple(np.bincount(exps, minlength=denom).tolist()))
+def character_sum_lattice(omega1: LatticeSet, deltas, denom: int) -> np.ndarray:
+    """sum over x in omega1 of omega_denom ** (d . x) for each row d of the
+    (k, n) integer array deltas, exactly: the (k, denom) int64 root
+    multiplicities that `vanishing` decides, stacked from `_root_counts`."""
+    counts = list(_root_counts(omega1.points, deltas, denom))
+    return np.concatenate(counts) if counts else np.zeros((0, denom), dtype=np.int64)
 
 
 def cell_count_check(omega1: LatticeSet) -> bool:

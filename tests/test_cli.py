@@ -367,6 +367,8 @@ GOLDEN_STDOUT = {
     "verify --matrix h12": "5fa5fd4b747f91d8a4bcbd5918cf05442dc804d79b1d5257e7fdd93df4127f58",
     "counterexample continuum --m 2 --k-radius 1 --pair-budget 100000": "474574eb15ece6496555108bd48157a6cd511117016828f09084d3d01765d6cd",
     "counterexample continuum --m 2 --k-radius 0": "275dd49bdc1c49f9a71a82890b85d8d18058cc3ddef73196bf511c33d54bbcbb",
+    "counterexample continuum --m 2 --k-radius 1": "5a0971eded0e4c24f35bd7c7416876de0c74c66893f01d695bbae9f18b1b107f",
+    "counterexample continuum --m 3 --k-radius 0": "751a9ec23d6fa875e6166d28563142543900326c362d8dd80dfa22a572b85815",
     "counterexample continuum --m 1 --k-radius 1 --pair-budget 5000": "1a3368d4c300cf53e24bd622d6ff7ae5fb688c1c57b68068cd75a2fec8702145",
     "density --m 10 --l 8 --stride 4": "1407191453401cef97ccac525fdc86de23e3bb9d7d022b1f59f7c393ba9be11b",
     "density --m 4 --l 6 --stride 3": "f65316fb421c02b6b086d09e32b770bbc74cbd7a64e8ecd758f2a507b96f334f",

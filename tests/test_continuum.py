@@ -20,6 +20,7 @@ from fuglede.continuum import (
     load_geometry,
     verify_spectrum_truncation,
 )
+from fuglede.cyclotomic import CyclotomicInt
 from fuglede.hadamard import descend, paper_h6, spectrum_from_butson
 from fuglede.lattice import (
     FrequencySet,
@@ -234,6 +235,21 @@ def test_sampled_pairs_are_the_randrange_draws(count):
             assert pairs == [(i, j + (j >= i)) for i, j in zip(draws[::2], draws[1::2])]
 
 
+def test_sampled_pairs_decode_carried_words_only_when_they_may_suffice(monkeypatch):
+    # A draw takes at least one word, so a block with fewer carried words
+    # than draws fetches before it decodes: 33 decodes for the 25 blocks of
+    # 100,000 pairs among 46,656 frequencies, where every block decoded twice.
+    sizes, decode = [], continuum._decode
+
+    def counting(words, count):
+        sizes.append(len(words))
+        return decode(words, count)
+
+    monkeypatch.setattr(continuum, "_decode", counting)
+    assert len(list(_sampled_pairs(46_656, 100_000, 0))) == 25
+    assert len(sizes) == 33 and min(sizes) >= 2 * (100_000 - 24 * 4096)
+
+
 def test_sampled_pairs_reject_counts_of_33_bits():
     with pytest.raises(ValueError, match="2\\^32"):
         next(_sampled_pairs(2**32, 1, 0))
@@ -254,17 +270,26 @@ def test_truncation_memory_is_flat_in_the_radius():
 
 
 def test_each_difference_code_is_summed_once(monkeypatch, lifted):
+    """A block sums its new codes in one batched call: 2,761 distinct rows
+    over the 100,000 pairs, each summed once, in at most one call for each
+    of the 25 blocks of 4,096 pairs, and no scalar zero test."""
     o1, l1 = lifted
-    codes = []
+    calls = []
 
-    def recording(omega1, delta, denom):
-        codes.append(tuple(int(d) for d in delta))
-        return character_sum_lattice(omega1, delta, denom)
+    def recording(omega1, deltas, denom):
+        calls.append([tuple(d) for d in deltas.tolist()])
+        return character_sum_lattice(omega1, deltas, denom)
+
+    def scalar(self):
+        raise AssertionError("scalar zero test on the batched route")
 
     monkeypatch.setattr(continuum, "character_sum_lattice", recording)
+    monkeypatch.setattr(CyclotomicInt, "is_zero", scalar)
     result = verify_spectrum_truncation(o1, l1, 1, pair_budget=100_000)
     assert result.valid and result.pairs_checked == 100_000
-    assert len(codes) == len(set(codes)) == 2761
+    rows = [row for call in calls for row in call]
+    assert len(rows) == len(set(rows)) == 2761
+    assert continuum._BLOCK == 4096 and len(calls) <= 25
 
 
 @st.composite

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import typing
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuglede import cyclotomic, lattice
-from fuglede.cyclotomic import vanishing
+from fuglede.cyclotomic import CyclotomicInt, vanishing
 from fuglede.hadamard import descend, paper_h6, spectrum_from_butson
 from fuglede.lattice import (
     FrequencySet,
@@ -36,6 +37,14 @@ def count_points(points, lo, window):
     """#points in lo + [0,window)^n, counted point by point."""
     lo = np.asarray(lo)
     return int(np.all((points >= lo) & (points < lo + window), axis=1).sum())
+
+
+def scalar_sum(omega1, delta, denom):
+    """The character sum over omega1 at one delta, its exponents summed in
+    int64 point by point: the per-pair oracle, which shares no code with the
+    float32 product behind `character_sum_lattice`."""
+    exps = omega1.points @ np.asarray(delta, dtype=np.int64) % denom
+    return CyclotomicInt(denom, tuple(np.bincount(exps, minlength=denom).tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +147,7 @@ def test_perturbed_spectrum_invalid_with_witness(z3_5_pair):
         assert not result.valid and result.witness == expected
         # the witness really fails by direct summation
         delta = tuple((a - b) % 6 for a, b in zip(expected[1], expected[0]))
-        assert not character_sum_lattice(o1, delta, 6).is_zero()
+        assert not scalar_sum(o1, delta, 6).is_zero()
 
 
 def test_verify_walks_rows_without_the_per_pair_array(z3_5_pair, monkeypatch):
@@ -283,9 +292,7 @@ def test_direct_matches_per_pair_sums_and_factored(sets):
     nums = list(map(tuple, l1.numerators.tolist()))
     reference = np.array(
         [
-            character_sum_lattice(
-                o1, tuple(np.subtract(nj, ni)), l1.denominator
-            ).is_zero()
+            scalar_sum(o1, tuple(np.subtract(nj, ni)), l1.denominator).is_zero()
             for ni, nj in itertools.combinations(nums, 2)
         ],
         dtype=bool,
@@ -345,7 +352,7 @@ def test_direct_matches_per_pair_sums_on_corrupted_points(sets):
     where the factored route cannot serve as the check."""
     o1, l1 = sets
     reference = [
-        character_sum_lattice(o1, tuple(np.subtract(nj, ni)), l1.denominator).is_zero()
+        scalar_sum(o1, tuple(np.subtract(nj, ni)), l1.denominator).is_zero()
         for ni, nj in itertools.combinations(l1.numerators, 2)
     ]
     assert pair_verdicts_direct(o1, l1).tolist() == reference
@@ -380,6 +387,27 @@ def test_table_matches_vanishing_sums_at_every_difference(case):
     table = lattice._vanishing_table(o1, m)
     assert table.dtype == bool
     assert table.tolist() == cyclotomic.vanishing_sums(o1.points, every, m).tolist()
+
+
+@settings(deadline=None)
+@given(counted_point_sets(), st.data())
+def test_batched_sums_match_the_scalar_oracle(case, data):
+    """Row r of a batch is the root-count vector of the int64 sum at
+    deltas[r]: signed and out-of-range deltas, repeated rows, batches of 0
+    and 1 rows, and chunks small enough that one batch spans several."""
+    o1, m = case
+    n = o1.dimension
+    entry = st.one_of(st.integers(-3 * m, 3 * m), st.integers(-(2**40), 2**40))
+    deltas = data.draw(st.lists(st.tuples(*[entry] * n), max_size=24))
+    if deltas:
+        deltas += data.draw(st.lists(st.sampled_from(deltas), max_size=3))
+    small = st.integers(0, 12).flatmap(lambda e: st.integers(1, 1 << e))  # log-spread
+    batch = data.draw(st.one_of(small, st.just(cyclotomic._BATCH)))
+    with mock.patch.object(cyclotomic, "_BATCH", batch):
+        rows = np.array(deltas, dtype=np.int64).reshape(-1, n)
+        got = character_sum_lattice(o1, rows, m)
+    assert got.dtype == np.int64 and got.shape == (len(deltas), m)
+    assert got.tolist() == [list(scalar_sum(o1, d, m).coeffs) for d in deltas]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
