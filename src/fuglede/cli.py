@@ -157,23 +157,44 @@ def cmd_counterexample(args) -> int:
     return 0 if ok else 1
 
 
+def scan_line_writer(g: GroupSpec):
+    """rec -> its --json line, json.dumps(fields, sort_keys=True, separators=(",",
+    ":")), assembled from the text of each element, made once per scan."""
+    text = {x: f"[{','.join(map(str, x))}]" for x in map(tuple, g.coords.tolist())}
+    boolean = ("false", "true")
+
+    def field(key: str, xs) -> str:
+        return "" if xs is None else f'"{key}":[{",".join(map(text.get, xs))}],'
+
+    def line(rec: spectra.ScanRecord) -> str:
+        out = "{" + field("complement", rec.complement)  # keys in sorted order
+        if (ob := rec.obstruction) is not None:
+            out += f'"obstruction":{{"group_order":{ob.group_order},'
+            out += f'"set_size":{ob.set_size}}},'
+        out += f'{field("set", rec.elements)}"spectral":{boolean[rec.spectral]},'
+        return f'{out}{field("spectrum", rec.spectrum)}"tiles":{boolean[rec.tiles]}}}'
+
+    return line
+
+
 def cmd_scan(args) -> int:
     g = GroupSpec.from_descriptor(args.group)
-    if args.size is not None and args.size > (order := spectra.scan_order(g)):
+    if (args.size or 0) > (order := spectra.scan_order(g)):  # before g.coords
         raise ValueError(f"--size {args.size} exceeds the group order {order}")
     summary = spectra.ScanSummary()
+    write, line = sys.stdout.write, scan_line_writer(g)
     for rec in spectra.scan_records(g, size_filter=args.size):
         summary.add(rec)
         if args.json:
-            print(_ENCODER.encode(rec.to_json()))
+            write(line(rec) + "\n")
         else:
             print(f"set {list(rec.elements)}: spectral={rec.spectral} tiles={rec.tiles}")
-    line = (
+    total = (
         f"scanned {summary.classes} classes of Z_{g}: "
         f"{len(summary.spectral_non_tiles)} spectral non-tiles, "
         f"{len(summary.tiles_non_spectral)} tiles non-spectral"
     )
-    _emit(args, summary.to_json(), [line])
+    _emit(args, summary.to_json(), [total])
     return 0
 
 

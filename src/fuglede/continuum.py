@@ -15,7 +15,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class CubeUnion:
         return len(self.corners)
 
 
-@dataclass(frozen=True)
-class ExtendedFrequency:
+class ExtendedFrequency(NamedTuple):
     """A real frequency base/denominator + integer shift."""
 
     base: Point
@@ -64,8 +63,7 @@ class ExtendedFrequency:
     shift: Point
 
 
-@dataclass(frozen=True)
-class TruncationResult:
+class TruncationResult(NamedTuple):
     valid: bool
     witness: Optional[tuple[ExtendedFrequency, ExtendedFrequency]] = None
     pairs_checked: int = 0
@@ -168,23 +166,25 @@ def _sampled_pairs(count: int, budget: int, seed: int) -> Pairs:
     the values of `randrange(count)`, `randrange(count - 1)`, ... in turn
     from `random.Random(seed)`, decoded from its 32-bit words in numpy.
 
-    `getrandbits(32 * w)` holds the next w words, the first one in the
-    least significant bits (CPython fills them so on either byte order).
-    Words a block does not use are carried into the next block.
+    `getrandbits(32 * w)` holds the next w words, the first in the least
+    significant bits (CPython fills them so on either byte order), whatever
+    the fetch sizes; words a block does not use are carried to the next.
     """
     if count.bit_length() > 32:
         raise ValueError(f"cannot sample among {count} frequencies: at most 2^32 - 1")
     getrandbits = random.Random(seed).getrandbits
+    # A block fetches its draws' mean words, 2^b / c each at the worse bound c of
+    # bit length b, plus a margin of several deviations, so it decodes once.
+    per_draw = max(2 ** c.bit_length() / c for c in (count, count - 1) if c)
     words = np.zeros(0, dtype=np.uint32)
     for lo in range(0, budget, _BLOCK):
         need = 2 * min(_BLOCK, budget - lo)
-        # A draw takes at least one word, so fewer words cannot hold `need`.
-        draws, used = _decode(words, count) if len(words) >= need else ((), ())
+        more, draws = max(0, int(need * per_draw * 1.02) + 64 - len(words)), ()
         while len(draws) < need:
-            more = 2 * (need - len(draws)) + 64  # an attempt is kept with p >= 1/2
             fresh = getrandbits(32 * more).to_bytes(4 * more, "little")
             words = np.concatenate([words, np.frombuffer(fresh, "<u4")])
             draws, used = _decode(words, count)
+            more = 2 * (need - len(draws)) + 64  # an attempt is kept with p >= 1/2
         i, j = draws[:need].astype(np.int64).reshape(-1, 2).T
         words = words[used[need - 1] + 1 :]
         yield i, j + (j >= i)

@@ -11,7 +11,7 @@ projection, and padding adds zero coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class ButsonMatrix:
         return cls(obj["q"], integer_rows(obj.get("logs"), '"logs"'))
 
 
-@dataclass(frozen=True)
-class ButsonCheck:
+class ButsonCheck(NamedTuple):
     ok: bool
     failing_pair: Optional[tuple[int, int]] = None
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -82,8 +82,7 @@ class FrequencySet:
         return self.numerators
 
 
-@dataclass(frozen=True)
-class OrthoResult:
+class OrthoResult(NamedTuple):
     valid: bool
     witness: Optional[tuple[Point, Point]] = None
     pairs: int = 0
@@ -274,8 +273,7 @@ def window_count(omega1: LatticeSet, t: Point, x0: Point, window: int) -> int:
     return int(_window_counts(omega1, corner, window).sum())
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     windows: int
     nonzero_windows: int
     min_density: Fraction
@@ -286,7 +284,8 @@ class DensityReport:
 
     def to_json(self) -> dict:
         """Every field, with the Fractions as strings."""
-        return {k: str(v) if isinstance(v, Fraction) else v for k, v in vars(self).items()}
+        fields = self._asdict().items()
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in fields}
 
 
 def density_check(

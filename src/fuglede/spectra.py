@@ -10,9 +10,8 @@ and the scan work on element ranks; tuples appear only in results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import compress, islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,15 +30,13 @@ class SearchBudgetExceeded(RuntimeError):
     """Search node budget exhausted before a definite verdict."""
 
 
-@dataclass(frozen=True)
-class SpectrumVerification:
+class SpectrumVerification(NamedTuple):
     valid: bool
     witness: Optional[tuple[Element, Element]] = None
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class SpectrumSearch:
+class SpectrumSearch(NamedTuple):
     spectral: bool
     spectrum: Optional[tuple[Element, ...]] = None
     nodes: int = 0
@@ -139,28 +136,13 @@ def find_spectrum(
 # -- exhaustive scanning ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     elements: tuple[Element, ...]
     spectral: bool
     tiles: bool
     spectrum: Optional[tuple[Element, ...]] = None
     complement: Optional[tuple[Element, ...]] = None
     obstruction: Optional[tiling.DivisibilityObstruction] = None
-
-    def to_json(self) -> dict:
-        rec: dict = {
-            "set": [list(x) for x in self.elements],
-            "spectral": self.spectral,
-            "tiles": self.tiles,
-        }
-        if self.spectrum is not None:
-            rec["spectrum"] = [list(x) for x in self.spectrum]
-        if self.complement is not None:
-            rec["complement"] = [list(x) for x in self.complement]
-        if self.obstruction is not None:
-            rec["obstruction"] = self.obstruction.to_json()
-        return rec
 
 
 @dataclass
@@ -257,16 +239,6 @@ def _class_blocks(
             yield classes, chunk
 
 
-@lru_cache(maxsize=None)
-def _pairing_onehot(g: GroupSpec) -> np.ndarray:
-    """(order, order * m) int64, m the exponent: entry [x, d*m + k] is 1
-    iff pairing(d, x) = k, so membership rows times it count the roots of
-    every character sum of each set."""
-    n, m = g.order, g.exponent
-    exps = g.pairing_points(g.coords) @ g.coords.T % m  # exps[x, d]
-    return (exps[:, :, None] == np.arange(m)).reshape(n, n * m).astype(np.int64)
-
-
 def _masks_with_popcount(width: int, ones: int) -> Iterator[int]:
     """Masks below 2^width with `ones` bits set, increasing (Gosper's hack)."""
     mask = (1 << ones) - 1 if 0 <= ones <= width else 1 << width
@@ -299,8 +271,13 @@ def scan_records(
     Fourier zeros reaches find_spectrum, and only one whose #T divides the
     order reaches find_tiling; the rest get those functions' early returns.
     """
-    order = scan_order(g)
+    order, m = scan_order(g), g.exponent
     tiling.resolve_node_budget()  # a bad value fails before the first record
+    # add[x, y]: the rank of (element x) + (element y); T's columns translate T.
+    sums = (g.coords[:, None] + g.coords) % g.moduli
+    add = g.ranks(sums.reshape(-1, g.ndim)).reshape(order, order)
+    # codes[x, d] = d * m + pairing(d, x): the bin of x's root in the sum at d.
+    codes = g.pairing_points(g.coords) @ g.coords.T % m + np.arange(order) * m
     # The early returns of find_spectrum and find_tiling, by #T.
     alone, not_spectral = SpectrumSearch(True, (g.identity(),)), SpectrumSearch(False)
     obstructed = {
@@ -308,19 +285,22 @@ def scan_records(
         for k in range(2, order) if order % k
     }
     for classes, member in _class_blocks(g, size_filter):
-        # Z(T) of the whole block from one kernel call; the sum at 0 is #T.
-        counts = member @ _pairing_onehot(g)
-        zeros = vanishing(counts.reshape(len(member), g.order, g.exponent))
+        # Z(T) of the block by one bincount and one kernel call; the sum at 0 is #T.
+        cls, xs = np.nonzero(member)
+        bins = codes[xs]
+        bins += (cls * (order * m))[:, None]  # in place: one fewer block-sized array
+        counts = np.bincount(bins.ravel(), minlength=len(member) * order * m)
+        zeros = vanishing(counts.reshape(len(member), order, m))
         sizes = member.sum(axis=1)
         search = (zeros.sum(axis=1) >= sizes - 1) & (sizes > 1)
         cover = order % sizes == 0
-        rows = zip(classes, zeros, sizes.tolist(), search.tolist(), cover.tolist())
-        for T, zero, size, searched, covered in rows:
+        rows = zip(classes, member, zeros, *(a.tolist() for a in (sizes, search, cover)))
+        for T, row, zero, size, searched, covered in rows:
             if searched:
                 spec = find_spectrum(g, T, zero)
             else:
                 spec = alone if size == 1 else not_spectral
-            tile = tiling.find_tiling(g, T) if covered else obstructed[size]
+            tile = tiling.find_tiling(g, T, add[:, row]) if covered else obstructed[size]
             yield _record(T, spec, tile)
 
 

@@ -10,8 +10,7 @@ arrays of element ranks; tuples appear only in results.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,8 +33,7 @@ def resolve_node_budget() -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class DivisibilityObstruction:
+class DivisibilityObstruction(NamedTuple):
     set_size: int
     group_order: int
 
@@ -46,8 +44,7 @@ class DivisibilityObstruction:
         return {"set_size": self.set_size, "group_order": self.group_order}
 
 
-@dataclass(frozen=True)
-class TilingResult:
+class TilingResult(NamedTuple):
     tiles: bool
     complement: Optional[tuple[Element, ...]] = None
     obstruction: Optional[DivisibilityObstruction] = None
@@ -107,13 +104,16 @@ def _translates(g: GroupSpec, T: Iterable[Element], shifts: np.ndarray) -> np.nd
     return g.ranks(sums.reshape(-1, g.ndim)).reshape(len(shifts), len(points))
 
 
-def find_tiling(g: GroupSpec, T: Iterable[Element]) -> TilingResult:
+def find_tiling(
+    g: GroupSpec, T: Iterable[Element], translates: Optional[np.ndarray] = None
+) -> TilingResult:
     """Decide whether T tiles G, with a certificate either way.
 
     The translate at 0 is forced into the complement first (tilings are
     translation-invariant), then exact cover runs over the remaining
     translates in rank order.  A search state is two masks, the live
     translates and the uncovered columns; being ints, they need no undo.
+    translates, row t the ranks of (element t) + T, is built if not given.
     """
     T = frozenset(T)
     obstruction = divisibility_check(g, T)
@@ -123,13 +123,14 @@ def find_tiling(g: GroupSpec, T: Iterable[Element]) -> TilingResult:
         raise ValueError(f"group of order {g.order} beyond cover search")
     budget = resolve_node_budget()
 
+    if translates is None:
+        translates = _translates(g, T, np.arange(g.order))
     # Translate t covers the ranks cols[t]; column c is covered by the
     # translates in the mask colrows[c].
-    ranks = _translates(g, T, np.arange(g.order))
     incidence = np.zeros((g.order, g.order), dtype=bool)
-    incidence[np.arange(g.order)[:, None], ranks] = True
+    incidence[np.arange(g.order)[:, None], translates] = True
     colrows = rank_masks(incidence.T)
-    cols = ranks.tolist()
+    cols = translates.tolist()
     # Depth first on an explicit stack, so Python's recursion limit does not
     # bound the depth.  solution[k] is the row taken at depth k; frame k holds
     # the untried rows of the column chosen at depth k and the state (live,

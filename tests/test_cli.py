@@ -364,6 +364,9 @@ GOLDEN_STDOUT = {
     "scan 2^4": "261536e3206c3cc0d660652348c15b9ebc37bef1e36ba9a88cb64f2f6168ac8e",
     "scan 3x3": "0ecf9f18138d299284cf68288a2a0208ed7cb34f8adfa762c66721c4594ba26f",
     "scan 2x4": "e1c5281346cb5a4cdbeb5ee927afbe25de8959e95b356c5a6f165989e4a47299",
+    "scan 2x3x3": "8843a08a1059a020b46179efc441a2023819f4ea46606f023890e4224990622e",
+    "scan 20 --size 3": "e33f9e6c4e070fe4879d788fb17d4efdb06a6fdf7a7debab3b847fafd3fd17fb",
+    "scan 24 --size 2": "a5d185bebce53988276ce22f7f1f8393acfa5fd2315b25397c9976280efb8c61",
     "verify --matrix h12": "5fa5fd4b747f91d8a4bcbd5918cf05442dc804d79b1d5257e7fdd93df4127f58",
     "counterexample continuum --m 2 --k-radius 1 --pair-budget 100000": "474574eb15ece6496555108bd48157a6cd511117016828f09084d3d01765d6cd",
     "counterexample continuum --m 2 --k-radius 0": "275dd49bdc1c49f9a71a82890b85d8d18058cc3ddef73196bf511c33d54bbcbb",

@@ -236,9 +236,9 @@ def test_sampled_pairs_are_the_randrange_draws(count):
 
 
 def test_sampled_pairs_decode_carried_words_only_when_they_may_suffice(monkeypatch):
-    # A draw takes at least one word, so a block with fewer carried words
-    # than draws fetches before it decodes: 33 decodes for the 25 blocks of
-    # 100,000 pairs among 46,656 frequencies, where every block decoded twice.
+    # A block fetches the words its draws take on average, plus a margin,
+    # before it decodes: one decode for each of the 25 blocks of 100,000
+    # pairs among 46,656 frequencies.
     sizes, decode = [], continuum._decode
 
     def counting(words, count):
@@ -247,7 +247,7 @@ def test_sampled_pairs_decode_carried_words_only_when_they_may_suffice(monkeypat
 
     monkeypatch.setattr(continuum, "_decode", counting)
     assert len(list(_sampled_pairs(46_656, 100_000, 0))) == 25
-    assert len(sizes) == 33 and min(sizes) >= 2 * (100_000 - 24 * 4096)
+    assert len(sizes) == 25 and min(sizes) >= 2 * (100_000 - 24 * 4096)
 
 
 def test_sampled_pairs_reject_counts_of_33_bits():

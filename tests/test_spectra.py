@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from fuglede.cli import scan_line_writer
 from fuglede.groups import GroupSpec
 from fuglede.hadamard import descend, paper_h6, paper_h12, spectrum_from_butson
 from fuglede import spectra, tiling
@@ -331,11 +333,69 @@ def test_clique_search_node_totals_are_pinned(descriptor, nodes):
     assert sum(find_spectrum(g, T).nodes for T in canonical_classes(g)) == nodes
 
 
+def record_oracle(rec):
+    """The object a scan record's --json line encodes."""
+    obj = {
+        "set": [list(x) for x in rec.elements],
+        "spectral": rec.spectral,
+        "tiles": rec.tiles,
+    }
+    if rec.spectrum is not None:
+        obj["spectrum"] = [list(x) for x in rec.spectrum]
+    if rec.complement is not None:
+        obj["complement"] = [list(x) for x in rec.complement]
+    if rec.obstruction is not None:
+        obj["obstruction"] = rec.obstruction.to_json()
+    return obj
+
+
+def encode(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def test_scan_record_json():
-    records, _ = fuglede_scan(Z4, size_filter=2)
-    for rec in records:
-        obj = rec.to_json()
-        assert set(obj) >= {"set", "spectral", "tiles"}
+    for g in (Z4, GroupSpec((2, 3, 2))):
+        line = scan_line_writer(g)
+        for rec in fuglede_scan(g, size_filter=2)[0]:
+            assert set(json.loads(line(rec))) >= {"set", "spectral", "tiles"}
+            assert line(rec) == encode(record_oracle(rec))
+
+
+@st.composite
+def scan_record_cases(draw, present):
+    """A group of 1-3 moduli (order at most 4096, values up to 3 digits)
+    and a record over it with the optional fields in `present`."""
+    moduli = [draw(st.integers(2, 300))]
+    while len(moduli) < 3 and draw(st.booleans()):
+        if (room := 4096 // math.prod(moduli)) < 2:
+            break
+        moduli.append(draw(st.integers(2, room)))
+    g = GroupSpec(tuple(moduli))
+    elements = st.builds(g.unrank, st.integers(0, g.order - 1))
+    sets = st.lists(elements, min_size=1, max_size=5, unique=True).map(tuple)
+    sizes = st.integers(1, 10**6)
+    obstructions = st.builds(tiling.DivisibilityObstruction, sizes, sizes)
+    spectrum, complement, obstruction = (
+        draw(field) if wanted else None
+        for wanted, field in zip(present, [sets, sets, obstructions])
+    )
+    rec = spectra.ScanRecord(
+        draw(sets), draw(st.booleans()), draw(st.booleans()),
+        spectrum, complement, obstruction,
+    )
+    return g, rec
+
+
+@pytest.mark.parametrize(
+    "present", list(itertools.product([False, True], repeat=3)),
+    ids=lambda p: "".join("SCO"[k] if on else "-" for k, on in enumerate(p)),
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_scan_line_writer_is_json_dumps(present, data):
+    """Spectrum, complement and obstruction each present or absent."""
+    g, rec = data.draw(scan_record_cases(present))
+    assert scan_line_writer(g)(rec) == encode(record_oracle(rec))
 
 
 def outcome(call):
@@ -399,7 +459,7 @@ def test_batched_certificates_match_scalar_references(pair):
     )
     got = outcome(lambda: is_spectrum(g, T, L))
     expected = outcome(lambda: spectrum_reference(g, T, L))
-    if isinstance(got, tuple):
+    if got[0] is ValueError:
         assert got == expected
     else:
         event(f"spectrum valid: {got.valid}")
