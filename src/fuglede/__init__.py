@@ -17,12 +17,11 @@ _EXPORTS = {
         "spectra": "SpectrumSearch SpectrumVerification find_spectrum"
         " fourier_zero_set fuglede_scan is_spectrum",
         "tiling": "DivisibilityObstruction TilingResult divisibility_check"
-        " find_tiling verify_tiling",
-        "hadamard": "ButsonMatrix descend pad_dimension paper_h6 paper_h12"
+        " find_tiling",
+        "hadamard": "ButsonMatrix descend paper_h6 paper_h12"
         " spectrum_from_butson verify_butson",
         "lattice": "FrequencySet LatticeSet build_lambda1 build_omega1"
-        " cell_count_check density_check torus_non_tiling verify_ortho_lattice"
-        " window_count",
+        " cell_count_check density_check torus_non_tiling verify_ortho_lattice",
         "continuum": "CubeUnion ExtendedFrequency build_omega2 export_geometry"
         " inner_product_is_zero load_geometry verify_spectrum_truncation",
     }.items()

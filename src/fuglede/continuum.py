@@ -162,57 +162,36 @@ def _all_pairs(count: int) -> Pairs:
 
 
 def _sampled_pairs(count: int, budget: int, seed: int) -> Pairs:
-    """`budget` seeded draws of i, then j != i, in blocks of _BLOCK pairs:
-    the values of `randrange(count)`, `randrange(count - 1)`, ... in turn
-    from `random.Random(seed)`, decoded from its 32-bit words in numpy.
+    """`budget` seeded ordered pairs i != j in blocks of _BLOCK pairs: the
+    values of `randrange(count)` two at a time from `random.Random(seed)`,
+    a pair of equal draws skipped, decoded from its 32-bit words in numpy.
 
-    `getrandbits(32 * w)` holds the next w words, the first in the least
-    significant bits (CPython fills them so on either byte order), whatever
-    the fetch sizes; words a block does not use are carried to the next.
+    For count < 2^32 an attempt of `randrange(count)` is one word: its top
+    count.bit_length() bits, kept if below count.  `getrandbits(32 * w)`
+    holds the next w words, the first in the least significant bits
+    (CPython fills them so on either byte order), whatever the fetch sizes;
+    draws a block does not use are carried to the next.
     """
     if count.bit_length() > 32:
         raise ValueError(f"cannot sample among {count} frequencies: at most 2^32 - 1")
-    getrandbits = random.Random(seed).getrandbits
-    # A block fetches its draws' mean words, 2^b / c each at the worse bound c of
-    # bit length b, plus a margin of several deviations, so it decodes once.
-    per_draw = max(2 ** c.bit_length() / c for c in (count, count - 1) if c)
-    words = np.zeros(0, dtype=np.uint32)
+    getrandbits, bits = random.Random(seed).getrandbits, count.bit_length()
+    # A block fetches its pairs' mean words, 2 * 2^b / c per pair of draws over
+    # the share 1 - 1/c of unequal pairs, plus a margin, so it fetches once.
+    per_pair = 2 * 2**bits / count / (1 - 1 / count)
+    draws = np.zeros(0, dtype=np.int64)
     for lo in range(0, budget, _BLOCK):
-        need = 2 * min(_BLOCK, budget - lo)
-        more, draws = max(0, int(need * per_draw * 1.02) + 64 - len(words)), ()
-        while len(draws) < need:
+        need = min(_BLOCK, budget - lo)
+        while True:
+            pairs = draws[: len(draws) // 2 * 2].reshape(-1, 2)
+            if len(kept := np.flatnonzero(pairs[:, 0] != pairs[:, 1])) >= need:
+                break
+            more = int((need - len(kept)) * per_pair * 1.02) + 64
             fresh = getrandbits(32 * more).to_bytes(4 * more, "little")
-            words = np.concatenate([words, np.frombuffer(fresh, "<u4")])
-            draws, used = _decode(words, count)
-            more = 2 * (need - len(draws)) + 64  # an attempt is kept with p >= 1/2
-        i, j = draws[:need].astype(np.int64).reshape(-1, 2).T
-        words = words[used[need - 1] + 1 :]
-        yield i, j + (j >= i)
-
-
-def _decode(words: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The values that `randrange(c)` for c = count, count - 1, count, ...
-    in turn takes from `words`, and the index of the word behind each.
-
-    For 1 <= c < 2^32, an attempt of `randrange(c)` is one word: its top
-    c.bit_length() bits, accepted if below c, else the next word is tried.
-    A word that both bounds accept passes the turn on and one that both
-    reject keeps it, whoever's turn it is.  A word that one bound alone
-    accepts leaves the turn with count - 1 if that bound is count, and with
-    count otherwise.  So the turn at each word is fixed by the last such
-    word before it, flipped once per word since then that both accept.
-    """
-    top0 = words >> (32 - count.bit_length())  # the attempt at count
-    top1 = words >> (32 - (count - 1).bit_length())  # the attempt at count - 1
-    take0, take1 = top0 < count, top1 < count - 1
-    both, one = take0 & take1, take0 != take1
-    flips = np.logical_xor.accumulate(both) ^ both  # odd count of both-words before t
-    # key[r + 1] ^ flips[t] is the turn at t if r is the last one-bound word before t.
-    key = np.concatenate([[False], take0 ^ flips])
-    last = np.maximum.accumulate(np.where(one, np.arange(1, len(words) + 1), 0))
-    turn = key[np.concatenate([[0], last[:-1]])] ^ flips
-    used = np.flatnonzero(np.where(turn, take1, take0))
-    return np.where(turn[used], top1[used], top0[used]), used
+            tops = np.frombuffer(fresh, "<u4") >> (32 - bits)
+            draws = np.concatenate([draws, tops[tops < count]])
+        i, j = pairs[kept[:need]].T
+        draws = draws[2 * kept[need - 1] + 2 :]
+        yield i, j
 
 
 def export_geometry(

@@ -11,7 +11,6 @@ value is an integer in [0, 2^24], where float32 is exact.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -165,12 +164,3 @@ class CyclotomicInt:
     def is_zero(self) -> bool:
         """Exact zero test: remainder modulo Phi_m vanishes."""
         return bool(vanishing(self.coeffs))
-
-    def to_complex(self) -> complex:
-        """Floating-point evaluation, diagnostics only."""
-        m = self.order
-        return sum(
-            c * cmath.exp(2j * cmath.pi * k / m)
-            for k, c in enumerate(self.coeffs)
-            if c
-        )

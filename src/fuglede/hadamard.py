@@ -5,7 +5,7 @@ A matrix is stored in log form: entry (j, k) is omega_q ** logs[j][k].
 From a verified q-th-root Hadamard matrix of size N (q prime) we get the
 standard-basis set {e_1, ..., e_N} in Z_q^N together with a spectrum read
 off the matrix rows; descent trades one dimension for a translation and a
-projection, and padding adds zero coordinates.
+projection.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ def spectrum_from_butson(
     g = GroupSpec.power(H.q, H.size)
     T = frozenset(g.basis())
     L = frozenset(H.logs)
-    result = is_spectrum(g, T, L)
-    assert result.valid, "constructed spectrum failed verification"
+    if not is_spectrum(g, T, L).valid:
+        raise ValueError("constructed spectrum failed verification")
     return g, T, L
 
 
@@ -164,25 +164,7 @@ def descend(
     )
     if len(T2) != len(frozenset(shifted)) or len(L2) != len(frozenset(L)):
         raise ValueError("descent collapsed distinct elements")
-    result = is_spectrum(g2, T2, L2)
-    assert result.valid, "descended spectrum failed verification"
+    if not is_spectrum(g2, T2, L2).valid:
+        raise ValueError("descended spectrum failed verification")
     return g2, T2, L2
 
-
-def pad_dimension(
-    g: GroupSpec,
-    T: Iterable[Element],
-    L: Iterable[Element],
-    new_dim: int,
-) -> tuple[GroupSpec, frozenset[Element], frozenset[Element]]:
-    """Zero-extend a spectral pair in Z_q^n to Z_q^{n'} for n' >= n."""
-    q = g.moduli[0]
-    if any(n != q for n in g.moduli):
-        raise ValueError("padding needs a homogeneous group Z_q^n")
-    if new_dim < g.ndim:
-        raise ValueError(f"cannot pad {g.ndim} dimensions down to {new_dim}")
-    extra = (0,) * (new_dim - g.ndim)
-    g2 = GroupSpec.power(q, new_dim)
-    T2 = frozenset(x + extra for x in T)
-    L2 = frozenset(xi + extra for xi in L)
-    return g2, T2, L2

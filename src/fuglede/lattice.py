@@ -267,12 +267,6 @@ def _window_counts(omega1: LatticeSet, corners, window: int) -> np.ndarray:
     return total
 
 
-def window_count(omega1: LatticeSet, t: Point, x0: Point, window: int) -> int:
-    """#((t + omega1) on (x0 + [0,window)^n)), exact, from (base, M) alone."""
-    corner = [[a - b] for a, b in zip(x0, t)]
-    return int(_window_counts(omega1, corner, window).sum())
-
-
 class DensityReport(NamedTuple):
     windows: int
     nonzero_windows: int

@@ -20,9 +20,9 @@ from .groups import Element, GroupSpec
 from . import tiling
 
 MAX_SPECTRUM_SIZE = 64
-# canonical_classes walks 2^(order - 1) masks: 2^23 at this limit.
+# _class_blocks walks 2^(order - 1) masks: 2^23 at this limit.
 SCAN_ORDER_LIMIT = 24
-_MASK_BLOCK = 1 << 10  # masks per canonical test in canonical_classes
+_MASK_BLOCK = 1 << 10  # masks per canonical test in _class_blocks
 _CLASS_BLOCK = 128  # classes per membership block, and per zero-row call
 
 
@@ -184,19 +184,6 @@ def scan_order(g: GroupSpec) -> int:
     return order
 
 
-def canonical_classes(
-    g: GroupSpec, size_filter: Optional[int] = None
-) -> Iterator[frozenset[Element]]:
-    """Nonempty subsets up to translation, one representative per class.
-
-    The representative is the minimum-mask translate containing 0, masks
-    read over element ranks.  With a size filter only the masks of that
-    popcount are walked, in the same increasing order.
-    """
-    for classes, _ in _class_blocks(g, size_filter):
-        yield from map(frozenset, classes)
-
-
 def _class_blocks(
     g: GroupSpec, size_filter: Optional[int]
 ) -> Iterator[tuple[list[tuple[Element, ...]], np.ndarray]]:
@@ -248,12 +235,6 @@ def _masks_with_popcount(width: int, ones: int) -> Iterator[int]:
         if not low:  # the one mask with no bits set
             return
         mask = (((mask + low) ^ mask) >> 2) // low | (mask + low)
-
-
-def scan_class(g: GroupSpec, T: frozenset[Element]) -> ScanRecord:
-    """One class through both searches: the reference for scan_records."""
-    elements = tuple(sorted(T))  # rank order is lexicographic order
-    return _record(elements, find_spectrum(g, T), tiling.find_tiling(g, T))
 
 
 def _record(elements, spec: SpectrumSearch, tile: tiling.TilingResult) -> ScanRecord:

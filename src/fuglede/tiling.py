@@ -76,13 +76,6 @@ def cover_defect(
     return tuple(g.coords[defects[0]].tolist()) if defects.size else None
 
 
-def verify_tiling(
-    g: GroupSpec, T: Iterable[Element], sigma: Iterable[Element]
-) -> bool:
-    """True iff the translates {t + T : t in sigma} cover G exactly once."""
-    return cover_defect(g, T, sigma) is None
-
-
 def rank_masks(bits: np.ndarray) -> list[int]:
     """Row i of a 2-D bool array as one Python int: bit j is bits[i, j]."""
     packed = np.packbits(bits, axis=1, bitorder="little")

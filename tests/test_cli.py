@@ -396,14 +396,24 @@ def test_export_file_bytes_are_pinned(capsys, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == golden
 
 
-def run_python(script: str) -> subprocess.CompletedProcess:
-    """script in a fresh interpreter that imports fuglede from this checkout."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """python with args in a fresh interpreter that imports fuglede from
+    this checkout."""
     src = str(Path(fuglede.__file__).parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=env
     )
+
+
+def test_optimized_run_keeps_the_pinned_bytes():
+    # Under -O every assert is gone; no check of a command may be one.
+    command = "counterexample z3-5"
+    proc = run_python("-O", "-m", "fuglede.cli", "--json", *command.split())
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == GOLDEN_STDOUT[command]
 
 
 def test_sampled_continuum_does_not_import_numpy_random():
@@ -426,7 +436,7 @@ def test_sampled_continuum_does_not_import_numpy_random():
         "for name in ('numpy.random', 'numpy.ma'):\n"
         "    assert name not in sys.modules, name\n"
     )
-    proc = run_python(script)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["sampled"] is True
 
@@ -449,7 +459,7 @@ def test_commands_import_only_the_modules_they_run(command, unloaded):
         f"assert main(['--json', *{command.split()!r}]) == 0\n"
         f"print([name for name in {unloaded!r} if name in sys.modules])\n"
     )
-    proc = run_python(script)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -462,9 +472,9 @@ PUBLIC_NAMES = """
     TilingResult build_lambda1 build_omega1 build_omega2 cell_count_check
     cyclotomic_polynomial density_check descend divisibility_check
     export_geometry find_spectrum find_tiling fourier_zero_set fuglede_scan
-    inner_product_is_zero is_spectrum load_geometry pad_dimension paper_h6
-    paper_h12 spectrum_from_butson torus_non_tiling verify_butson
-    verify_ortho_lattice verify_spectrum_truncation verify_tiling window_count
+    inner_product_is_zero is_spectrum load_geometry paper_h6 paper_h12
+    spectrum_from_butson torus_non_tiling verify_butson verify_ortho_lattice
+    verify_spectrum_truncation
 """.split()
 
 
@@ -484,12 +494,12 @@ def test_lazy_exports_are_the_submodules_objects():
         "    print(exc)\n"
         "print(sorted(names))\n"
     )
-    proc = run_python(script)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     error, names = proc.stdout.splitlines()
     assert error == "module 'fuglede' has no attribute 'nonexistent'"
     assert names == str(sorted(PUBLIC_NAMES))
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 34
 
 
 def test_continuum_sample_at_the_largest_radius(capsys):

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ def test_truncation_rejects_frequencies_of_another_dimension(lifted):
         verify_spectrum_truncation(o1, FrequencySet(6, ((0, 0, 0), (1, 0, 0))), 0)
 
 
+def randrange_pairs(count, budget, seed):
+    """The first `budget` pairs (randrange(count), randrange(count)) from
+    random.Random(seed) whose two draws differ."""
+    rng, pairs = random.Random(seed), []
+    while len(pairs) < budget:
+        i, j = rng.randrange(count), rng.randrange(count)
+        if i != j:
+            pairs.append((i, j))
+    return pairs
+
+
 def truncation_reference(o1, l1, k_radius, pair_budget, seed=0):
     """Per-pair loop over the truncated spectrum: the same pair order and
     rng draws as verify_spectrum_truncation, one inner_product_is_zero call
@@ -159,11 +171,7 @@ def truncation_reference(o1, l1, k_radius, pair_budget, seed=0):
 
     sampled = count * (count - 1) // 2 > pair_budget
     if sampled:
-        rng = random.Random(seed)
-        draws = (
-            (rng.randrange(count), rng.randrange(count - 1)) for _ in range(pair_budget)
-        )
-        pairs = ((i, j + (j >= i)) for i, j in draws)
+        pairs = randrange_pairs(count, pair_budget, seed)
     else:
         pairs = itertools.combinations(range(count), 2)
     checked = 0
@@ -218,36 +226,34 @@ def test_repeated_frequency_fails_in_the_sample(m, k_radius, budget):
 
 @pytest.mark.parametrize("count", [2, 3, 4, 5, 8, 1024, 5184, 2**31, 2**32 - 1])
 def test_sampled_pairs_are_the_randrange_draws(count):
-    # The numpy decoding of the generator's words against the per-draw
-    # comprehension it replaced; powers of two give the bounds count and
-    # count - 1 different bit lengths, and the budgets straddle a block.
+    # The numpy decoding of the generator's words against a per-draw loop;
+    # small counts skip many equal pairs, powers of two and 2^32 - 1 reject
+    # many or few words, and the budgets straddle a block.
     for seed in range(3):
         for budget in (0, 1, 4095, 4096, 4097, 9000):
-            rng = random.Random(seed)
-            bounds = (count, count - 1)
-            draws = [rng.randrange(c) for _ in range(budget) for c in bounds]
             blocks = list(_sampled_pairs(count, budget, seed))
             assert [len(i) for i, _ in blocks] == [
                 min(4096, budget - lo) for lo in range(0, budget, 4096)
             ]
             assert all(i.dtype == j.dtype == np.int64 for i, j in blocks)
             pairs = [p for i, j in blocks for p in zip(i.tolist(), j.tolist())]
-            assert pairs == [(i, j + (j >= i)) for i, j in zip(draws[::2], draws[1::2])]
+            assert pairs == randrange_pairs(count, budget, seed)
 
 
-def test_sampled_pairs_decode_carried_words_only_when_they_may_suffice(monkeypatch):
-    # A block fetches the words its draws take on average, plus a margin,
-    # before it decodes: one decode for each of the 25 blocks of 100,000
-    # pairs among 46,656 frequencies.
-    sizes, decode = [], continuum._decode
+def test_sampled_pairs_fetch_once_per_block(monkeypatch):
+    # A block fetches the words its pairs take on average, plus a margin:
+    # one getrandbits call for each of the 25 blocks of 100,000 pairs among
+    # 46,656 frequencies.
+    fetches = []
 
-    def counting(words, count):
-        sizes.append(len(words))
-        return decode(words, count)
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            fetches.append(k)
+            return super().getrandbits(k)
 
-    monkeypatch.setattr(continuum, "_decode", counting)
+    monkeypatch.setattr(continuum, "random", SimpleNamespace(Random=Counting))
     assert len(list(_sampled_pairs(46_656, 100_000, 0))) == 25
-    assert len(sizes) == 25 and min(sizes) >= 2 * (100_000 - 24 * 4096)
+    assert len(fetches) == 25
 
 
 def test_sampled_pairs_reject_counts_of_33_bits():

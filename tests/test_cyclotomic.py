@@ -15,6 +15,7 @@ from fuglede.cyclotomic import (
 from fuglede.groups import GroupSpec
 from fuglede.hadamard import paper_h6, verify_butson
 from fuglede.spectra import fourier_zero_set, is_spectrum
+from oracles import to_complex
 
 # Ascending coefficients, cross-checked against the standard table.
 KNOWN_PHI = {
@@ -51,7 +52,7 @@ def test_order_two():
 def test_cube_roots_embedded_in_order_six():
     c = CyclotomicInt(6, (1, 0, 1, 0, 1, 0))
     assert c.is_zero()
-    assert abs(c.to_complex()) < 1e-12
+    assert abs(to_complex(c)) < 1e-12
 
 
 def test_singleton_root_is_not_zero():
@@ -80,9 +81,9 @@ def test_is_zero_agrees_with_floating_point(m, data):
         c = CyclotomicInt(m, coeffs)
         assert c.is_zero() == verdict
         if verdict:
-            assert abs(c.to_complex()) < 1e-9
+            assert abs(to_complex(c)) < 1e-9
         else:
-            assert abs(c.to_complex()) > 1e-9
+            assert abs(to_complex(c)) > 1e-9
 
 
 def test_order_limit():

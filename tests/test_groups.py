@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuglede.groups import GroupSpec, element_set_from_json, element_set_to_json
+from oracles import to_complex
 
 
 def brute_force_character(g, xi, x):
@@ -115,7 +116,7 @@ def test_is_zero_matches_float_on_random_sums():
             exact = g.character_sum(T, d)
             approx = sum(brute_force_character(g, d, x) for x in T)
             assert exact.is_zero() == (abs(approx) < 1e-9)
-            assert abs(exact.to_complex() - approx) < 1e-9
+            assert abs(to_complex(exact) - approx) < 1e-9
 
 
 def test_parseval():
@@ -125,7 +126,7 @@ def test_parseval():
         elems = [g.unrank(r) for r in range(g.order)]
         T = rng.sample(elems, rng.randrange(1, g.order))
         total = sum(
-            abs(g.character_sum(T, d).to_complex()) ** 2 for d in elems
+            abs(to_complex(g.character_sum(T, d))) ** 2 for d in elems
         )
         assert math.isclose(total, g.order * len(T), rel_tol=1e-6)
 

@@ -11,7 +11,6 @@ from fuglede.hadamard import (
     ButsonCheck,
     ButsonMatrix,
     descend,
-    pad_dimension,
     paper_h6,
     paper_h12,
     spectrum_from_butson,
@@ -19,6 +18,7 @@ from fuglede.hadamard import (
 )
 from fuglede.spectra import is_spectrum
 from fuglede.tiling import find_tiling
+from oracles import pad_dimension
 
 
 def test_embedded_matrices_are_hadamard():
@@ -128,6 +128,13 @@ def test_descend_requires_hyperplane():
     g = GroupSpec.power(3, 3)
     with pytest.raises(ValueError):
         descend(g, {(0, 1, 1)}, {(0, 0, 0)})
+
+
+def test_descend_rejects_a_pair_that_is_not_spectral():
+    # Both points reach the hyperplane, but {0, 2} with {0, 1} in Z_3 is not
+    # spectral; the check raises the error the CLI reports, also under -O.
+    with pytest.raises(ValueError, match="descended spectrum failed verification"):
+        descend(GroupSpec.power(3, 2), {(1, 0), (0, 1)}, {(0, 0), (1, 0)})
 
 
 def test_pad_dimension():

@@ -24,9 +24,9 @@ from fuglede.lattice import (
     pair_verdicts_factored,
     torus_non_tiling,
     verify_ortho_lattice,
-    window_count,
 )
 from fuglede.spectra import is_spectrum
+from oracles import window_count
 
 
 def as_tuples(points):

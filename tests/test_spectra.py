@@ -14,13 +14,12 @@ from fuglede.hadamard import descend, paper_h6, paper_h12, spectrum_from_butson
 from fuglede import spectra, tiling
 from fuglede.spectra import (
     SearchBudgetExceeded,
-    canonical_classes,
     find_spectrum,
     fourier_zero_set,
     fuglede_scan,
     is_spectrum,
-    scan_class,
 )
+from oracles import canonical_classes, scan_class
 
 Z4 = GroupSpec.cyclic(4)
 
