@@ -1,12 +1,12 @@
 """Exact zero tests for integer combinations of m-th roots of unity.
 
 A value is stored as a length-m integer coefficient vector c with
-value = sum_k c[k] * omega_m^k, omega_m = e^{2*pi*i/m}.  Zero testing
-reduces the coefficient polynomial modulo the m-th cyclotomic polynomial,
-so every vanishing-sum claim is decided exactly, by the one batched kernel
-`vanishing`, fed whole batches of root counts by `_root_counts`.  The
-exponents d . x of those sums come from a float32 BLAS product whose every
-value is an integer in [0, 2^24], where float32 is exact.
+value = sum_k c[k] * omega_m^k, omega_m = e^{2*pi*i/m}.  Every zero test
+reduces modulo the m-th cyclotomic polynomial by `reduction_matrix`, its one
+source: in the batched kernel `vanishing`, fed root counts by `_root_counts`,
+and at each axis step of the lattice verdict table (`lattice`).  The
+exponents d . x of `_root_counts` come from a float32 BLAS product whose
+every value is an integer in [0, 2^24], where float32 is exact.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .cyclotomic import _EXACT, MAX_ORDER, _root_counts, vanishing
+from .cyclotomic import _EXACT, MAX_ORDER, _root_counts, reduction_matrix
 from .groups import GroupSpec
 from .spectra import fourier_zero_set
 from .tiling import DivisibilityObstruction
@@ -122,8 +122,8 @@ def build_lambda1(base_spec: Iterable[Point], m_scale: int) -> FrequencySet:
 
 def check_table_budget(denom: int, n: int) -> None:
     """ValueError unless the zero test has order denom and the table over
-    Z_denom^n fits TABLE_BUDGET: 32 bytes per code bound its float32 arrays,
-    verdicts and `vanishing`'s int64 copies, plus the 4 denom^4 axis matrix."""
+    Z_denom^n fits TABLE_BUDGET: 32 bytes per code bound its counts, verdicts
+    and block buffers of phi <= denom terms, plus 4 denom^4 for the (denom phi)^2 matrix."""
     if not 1 <= denom <= MAX_ORDER:
         raise ValueError(f"unsupported root order {denom}")
     if (need := 32 * denom**n + 4 * denom**4) > TABLE_BUDGET:
@@ -138,32 +138,32 @@ def _vanishing_table(omega1: LatticeSet, denom: int) -> np.ndarray:
     d in Z_denom^n, as a bool array indexed by the code of d (`_codes`).
 
     The sums are the n-dimensional DFT of the points' counts mod denom, taken
-    exactly in Z[x]/(x^denom - 1) one axis at a time (the row-column scheme
-    of I. J. Good, JRSS B 20, 1958): omega^(d x) shifts a count vector
-    cyclically, so an axis step is one float32 product with the 0/1 matrix
-    T[(x, f), (d, e)] = [e = f + d x mod denom], exact as every partial sum
-    is an integer in [0, #points], #points < 2^24.  One d_0 at a time, the
-    x_0 axis takes the columns T[(x, 0), (d_0, .)] and the others go through
-    two reused denom^n buffers; `vanishing` decides each block's counts.
+    exactly in Z[omega] = Z[x]/Phi_denom(x) in the basis 1, ..., omega^(phi-1)
+    one axis at a time (the row-column scheme of I. J. Good, JRSS B 20, 1958):
+    with R = `reduction_matrix(denom)`, an axis step is one float32 product
+    with S[(x, f), (d, e)] = R[(f + d x) mod denom, e], exact as R's entries
+    lie in {-1, 0, 1}, so every partial sum is at most phi #points < 2^24.
+    One d_0 at a time, the x_0 axis takes the rows R[d_0 x mod denom], the
+    others use two reused buffers; a sum vanishes iff all its phi terms do.
     """
     n = omega1.dimension
     check_table_budget(denom, n)
-    if len(points := omega1.points) >= _EXACT:
-        raise ValueError(f"{len(points)} points: counts beyond float32's exact integers")
-    m, size = denom, denom**n
+    r, points = reduction_matrix(denom), omega1.points
+    if (phi := r.shape[1]) * len(points) >= _EXACT:
+        raise ValueError(f"{len(points)} points: sums beyond float32's exact integers")
+    m, size, x = denom, denom**n, np.arange(denom)
     rest, rows = size // m, size // m // m  # codes per d_0 block; rows per step
-    x = np.arange(m)
-    step = (((x[:, None] + np.outer(x, x)[:, None]) % m)[..., None] == x).astype(np.float32)
+    step = r[(np.arange(phi)[:, None] + np.outer(x, x)[:, None]) % m].astype(np.float32)
     counts = np.bincount(np.ravel_multi_index((points % m).T, (m,) * n), minlength=size)
     counts = counts.astype(np.float32).reshape(m, rest).T  # [x_1..x_{n-1}, x_0]
-    a, b = np.empty(size, dtype=np.float32), np.empty(size, dtype=np.float32)
+    a, b = np.empty(rest * phi, dtype=np.float32), np.empty(rest * phi, dtype=np.float32)
     out = np.empty((m, rest), dtype=bool)
     for d0 in range(m):
-        np.matmul(counts, step[:, 0, d0], out=a.reshape(rest, m))
+        np.matmul(counts, step[:, 0, d0], out=a.reshape(rest, phi))
         for _ in range(n - 1):  # a is [x_k, ..., x_{n-1}, d_1, ..., d_{k-1}, e]
-            np.copyto(b.reshape(rows, m, m), a.reshape(m, rows, m).transpose(1, 0, 2))
-            np.matmul(b.reshape(rows, -1), step.reshape(m * m, -1), out=a.reshape(rows, -1))
-        out[d0] = vanishing(a.reshape(rest, m))
+            np.copyto(b.reshape(rows, m, phi), a.reshape(m, rows, phi).transpose(1, 0, 2))
+            np.matmul(b.reshape(rows, -1), step.reshape(m * phi, -1), out=a.reshape(rows, -1))
+        out[d0] = ~a.reshape(rest, phi).any(axis=1)
     return out.reshape(size)
 
 

@@ -9,6 +9,7 @@ from fuglede.cyclotomic import (
     MAX_ORDER,
     CyclotomicInt,
     cyclotomic_polynomial,
+    reduction_matrix,
     vanishing,
     vanishing_sums,
 )
@@ -84,6 +85,15 @@ def test_is_zero_agrees_with_floating_point(m, data):
             assert abs(to_complex(c)) < 1e-9
         else:
             assert abs(to_complex(c)) > 1e-9
+
+
+def test_reduction_rows_have_unit_coefficients():
+    """x^k mod Phi_m has coefficients in {-1, 0, 1} for every admitted order
+    m and every k < m: the bound behind the lattice table's exactness guard."""
+    for m in range(1, MAX_ORDER + 1):
+        matrix = reduction_matrix(m)
+        assert matrix.shape == (m, len(cyclotomic_polynomial(m)) - 1)
+        assert np.isin(matrix, (-1, 0, 1)).all(), m
 
 
 def test_order_limit():

@@ -203,9 +203,9 @@ def test_frequency_rows_must_match_the_dimension(z3_5_pair, width, route):
 
 
 def test_direct_zero_tests_every_code_once(z3_5_pair, monkeypatch):
-    """One `vanishing` call per leading coordinate d_0, over the 6^4 codes
-    of its block: every difference in Z_6^5 is decided once, and 213 of
-    them, d = 0 among them, have a nonvanishing sum."""
+    """The table decides its sums in Z[omega] itself: neither lattice route
+    calls `vanishing`, every one of the 6^5 differences in Z_6^5 gets a
+    verdict, and 213 of them, d = 0 among them, have a nonvanishing sum."""
     T5, L5 = z3_5_pair
     o1 = build_omega1(T5, 2)
     l1 = build_lambda1(L5, 2)
@@ -215,12 +215,29 @@ def test_direct_zero_tests_every_code_once(z3_5_pair, monkeypatch):
         rows.append(len(counts))
         return vanishing(counts)
 
-    monkeypatch.setattr(lattice, "vanishing", counting_vanishing)
+    monkeypatch.setattr(cyclotomic, "vanishing", counting_vanishing)
+    assert not hasattr(lattice, "vanishing")
     verdicts = pair_verdicts_direct(o1, l1)
     assert len(verdicts) == 18336 and verdicts.all()
-    assert rows == [6**4] * 6
+    assert verify_ortho_lattice(o1, l1).valid
     table = lattice._vanishing_table(o1, 6)
-    assert (~table).sum() == 213 and not table[0]
+    assert rows == []
+    assert table.shape == (6**5,) and (~table).sum() == 213 and not table[0]
+
+
+def test_table_guard_counts_phi_terms_per_point(monkeypatch):
+    """An axis product sums up to phi(m) terms per point, each in {-1, 0, 1}:
+    the table refuses a set once phi(m) * #points reaches float32's exact
+    range, and builds the same table just below it."""
+    o1 = build_omega1([(0, 0), (1, 2), (2, 1)], 2)  # 12 points
+    phi = cyclotomic.reduction_matrix(15).shape[1]
+    assert phi == 8
+    expected = lattice._vanishing_table(o1, 15)
+    monkeypatch.setattr(lattice, "_EXACT", phi * 12)
+    with pytest.raises(ValueError, match="beyond float32's exact integers"):
+        lattice._vanishing_table(o1, 15)
+    monkeypatch.setattr(lattice, "_EXACT", phi * 12 + 1)
+    assert lattice._vanishing_table(o1, 15).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -360,10 +377,11 @@ def test_direct_matches_per_pair_sums_on_corrupted_points(sets):
 
 @st.composite
 def counted_point_sets(draw):
-    """Integer points in n = 1..3 dimensions and a modulus m = 1..12:
-    signed, outside [0, m), some repeated mod m, and half the time a
-    product of per-axis sets whose sums vanish at many d."""
-    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    """Integer points in n = 1..3 dimensions and a modulus m = 1..24, every
+    order 3M the lattice command admits: signed, outside [0, m), some
+    repeated mod m, and half the time a product of per-axis sets whose sums
+    vanish at many d."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 24))
     coord = st.integers(-2 * m, 3 * m)
     points = draw(st.lists(st.tuples(*[coord] * n), max_size=8))
     if any(m % p == 0 for p in (2, 3, 5, 7)) and draw(st.booleans()):
