@@ -1,11 +1,13 @@
 """Command-line front end: build the counterexample pipeline, scan small
 groups, verify user-supplied certificates, export geometry.
 
-Exit status: 0 when every verification in the invoked pipeline passes,
-1 when one fails, 2 on bad input or out of memory, 3 when a search node
-budget runs out.  With --json the output is deterministic machine-readable
-JSON on every path, including failures.  On exit 3, scan has already
-printed the records it made before the budget ran out.
+Each cmd_* returns (ok, payload, lines) and prints only scan's streamed
+records; main alone prints the report or error and picks the exit status:
+0 when every verification in the invoked pipeline passes, 1 when one fails,
+2 on bad input or out of memory, 3 when a search node budget runs out.  With
+--json the output is deterministic machine-readable JSON on every path,
+including failures.  On exit 3, scan has already printed the records it made
+before the budget ran out.
 
 Each command imports the modules it runs when it runs: `scan` loads only
 `cyclotomic`, `groups`, `tiling` and `spectra`, and the lattice and density
@@ -24,14 +26,6 @@ from .cyclotomic import MAX_ORDER
 from .groups import GroupSpec, element_set_from_json, element_set_to_json
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _emit(args, payload: dict, human_lines: list[str]) -> None:
-    if args.json:
-        print(_ENCODER.encode(payload))
-    else:
-        for line in human_lines:
-            print(line)
 
 
 def _finite_counterexample(variant: str):
@@ -58,7 +52,7 @@ def _lifted_pair(m: int, variant: str):
     return lattice.build_omega1(t5, m), lattice.build_lambda1(l5, m)
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> tuple[bool, dict, list[str]]:
     checks: list[tuple[str, bool, str]] = []
     payload: dict = {"variant": args.variant}
 
@@ -153,8 +147,7 @@ def cmd_counterexample(args) -> int:
     ]
     failures = (f"FAILED at {op}: {desc}" for desc, passed, op in checks if not passed)
     lines.append(next(failures, "all checks passed"))
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return ok, payload, lines
 
 
 def scan_line_writer(g: GroupSpec):
@@ -177,7 +170,7 @@ def scan_line_writer(g: GroupSpec):
     return line
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[bool, dict, list[str]]:
     g = GroupSpec.from_descriptor(args.group)
     if (args.size or 0) > (order := spectra.scan_order(g)):  # before g.coords
         raise ValueError(f"--size {args.size} exceeds the group order {order}")
@@ -194,8 +187,7 @@ def cmd_scan(args) -> int:
         f"{len(summary.spectral_non_tiles)} spectral non-tiles, "
         f"{len(summary.tiles_non_spectral)} tiles non-spectral"
     )
-    _emit(args, summary.to_json(), [total])
-    return 0
+    return True, summary.to_json(), [total]
 
 
 def _load_set(g: GroupSpec, text: str):
@@ -218,65 +210,55 @@ def _load_matrix(text: str):
     return hadamard.ButsonMatrix.from_json(json.loads(Path(text).read_text()))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[bool, dict, list[str]]:
     if args.matrix is not None:
         from . import hadamard
 
         H = _load_matrix(args.matrix)
         check = hadamard.verify_butson(H)
-        payload = {
+        ok = check.ok
+        fields = {
             "kind": "butson",
-            "valid": check.ok,
             "failing_rows": list(check.failing_pair) if check.failing_pair else None,
         }
-        lines = (
-            [f"matrix of order {H.size} over {H.q}-th roots: orthogonal"]
-            if check.ok
-            else [f"rows {check.failing_pair} are not orthogonal"]
-        )
-        _emit(args, payload, lines)
-        return 0 if check.ok else 1
-
-    if args.group is None or args.set is None:
-        raise ValueError("verify: need --matrix, or --group with --set")
-    g = GroupSpec.from_descriptor(args.group)
-    T = _load_set(g, args.set)
-    if args.spectrum is not None:
-        L = _load_set(g, args.spectrum)
-        ver = spectra.is_spectrum(g, T, L)
-        payload = {
-            "kind": "spectrum",
-            "valid": ver.valid,
-            "witness": [list(x) for x in ver.witness] if ver.witness else None,
-            "reason": ver.reason,
-        }
-        lines = (
-            ["spectrum valid"]
-            if ver.valid
-            else [f"spectrum invalid: {ver.reason} {ver.witness or ''}".rstrip()]
-        )
-        _emit(args, payload, lines)
-        return 0 if ver.valid else 1
-    if args.complement is not None:
-        sigma = _load_set(g, args.complement)
-        witness = tiling.cover_defect(g, T, sigma)
-        ok = witness is None
-        payload = {
-            "kind": "tiling",
-            "valid": ok,
-            "witness": list(witness) if witness is not None else None,
-        }
-        lines = (
-            ["tiling valid"]
+        line = (
+            f"matrix of order {H.size} over {H.q}-th roots: orthogonal"
             if ok
-            else [f"tiling invalid: element {witness} not covered exactly once"]
+            else f"rows {check.failing_pair} are not orthogonal"
         )
-        _emit(args, payload, lines)
-        return 0 if ok else 1
-    raise ValueError("verify: need --spectrum or --complement with --set")
+    else:
+        if args.group is None or args.set is None:
+            raise ValueError("verify: need --matrix, or --group with --set")
+        g = GroupSpec.from_descriptor(args.group)
+        T = _load_set(g, args.set)
+        if args.spectrum is not None:
+            ver = spectra.is_spectrum(g, T, _load_set(g, args.spectrum))
+            ok = ver.valid
+            fields = {
+                "kind": "spectrum",
+                "witness": [list(x) for x in ver.witness] if ver.witness else None,
+                "reason": ver.reason,
+            }
+            line = (
+                "spectrum valid"
+                if ok
+                else f"spectrum invalid: {ver.reason} {ver.witness or ''}".rstrip()
+            )
+        elif args.complement is not None:
+            witness = tiling.cover_defect(g, T, _load_set(g, args.complement))
+            ok = witness is None
+            fields = {"kind": "tiling", "witness": None if ok else list(witness)}
+            line = (
+                "tiling valid"
+                if ok
+                else f"tiling invalid: element {witness} not covered exactly once"
+            )
+        else:
+            raise ValueError("verify: need --spectrum or --complement with --set")
+    return ok, {**fields, "valid": ok}, [line]
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> tuple[bool, dict, list[str]]:
     from . import continuum, lattice
 
     _, t5, l5 = _finite_counterexample("z3-5")
@@ -284,15 +266,14 @@ def cmd_export(args) -> int:
     lambda1 = lattice.build_lambda1(l5, args.m)
     omega2 = continuum.build_omega2(omega1)
     continuum.export_geometry(omega2, lambda1, args.out)
-    _emit(
-        args,
+    return (
+        True,
         {"out": str(args.out), "measure": omega2.measure, "m": args.m},
         [f"wrote {omega2.measure} unit cubes and the spectrum to {args.out}"],
     )
-    return 0
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> tuple[bool, dict, list[str]]:
     from . import lattice
 
     _, t5, _ = _finite_counterexample("z3-5")
@@ -304,8 +285,7 @@ def cmd_density(args) -> int:
         f"target {report.target} +/- {report.tolerance}",
         "PASS" if report.ok else "FAIL",
     ]
-    _emit(args, report.to_json(), lines)
-    return 0 if report.ok else 1
+    return report.ok, report.to_json(), lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -405,10 +385,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        ok, payload, lines = args.func(args)
+        print(_ENCODER.encode(payload) if args.json else "\n".join(lines))
+        return 0 if ok else 1
     except (spectra.SearchBudgetExceeded, tiling.CoverBudgetExceeded) as exc:
-        code = 3
-        error = {"error": str(exc), "budget": tiling.resolve_node_budget()}
+        code, error = 3, {"error": str(exc), "budget": exc.budget}
     except (ValueError, OSError, MemoryError) as exc:
         code, error = 2, {"error": str(exc)}
     # Read from argv, not args, so usage errors are JSON under --json too.

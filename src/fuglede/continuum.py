@@ -99,13 +99,12 @@ def verify_spectrum_truncation(
     lambda1: FrequencySet,
     k_radius: int,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
-    seed: int = 0,
 ) -> TruncationResult:
     """Check orthogonality over the truncated spectrum
     {lambda + k : lambda in lambda1, |k|_inf <= k_radius}.
 
     A full quadratic pass when the pair count fits the budget, otherwise a
-    deterministic seeded sample of pair indices.  Completeness of the full
+    deterministic sample of pair indices, drawn with seed 0.  Completeness of the full
     spectrum is not finitely checkable; this certifies orthogonality only.
 
     Frequency f is numerator f // S plus shift f % S, n digits base 2K+1 that
@@ -119,7 +118,7 @@ def verify_spectrum_truncation(
     nums, shape, side = lambda1.rows(n), (denom,) * n, (2 * k_radius + 1,) * n
     count = len(nums) * (per := side[0] ** n)
     sampled = count * (count - 1) // 2 > pair_budget
-    blocks = _sampled_pairs(count, pair_budget, seed) if sampled else _all_pairs(count)
+    blocks = _sampled_pairs(count, pair_budget, 0) if sampled else _all_pairs(count)
     # Per delta code: 0 unsummed, 1 nonzero sum, 2 vanishing sum (lazy zero pages).
     memo = np.zeros(denom**n, dtype=np.int8)
     checked = 0

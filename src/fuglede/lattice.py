@@ -154,8 +154,9 @@ def _vanishing_table(omega1: LatticeSet, denom: int) -> np.ndarray:
     m, size, x = denom, denom**n, np.arange(denom)
     rest, rows = size // m, size // m // m  # codes per d_0 block; rows per step
     step = r[(np.arange(phi)[:, None] + np.outer(x, x)[:, None]) % m].astype(np.float32)
-    counts = np.bincount(np.ravel_multi_index((points % m).T, (m,) * n), minlength=size)
-    counts = counts.astype(np.float32).reshape(m, rest).T  # [x_1..x_{n-1}, x_0]
+    counts = np.zeros(size, dtype=np.float32)  # exact: each count < 2^24
+    np.add.at(counts, np.ravel_multi_index((points % m).T, (m,) * n), 1)
+    counts = counts.reshape(m, rest).T  # [x_1..x_{n-1}, x_0]
     a, b = np.empty(rest * phi, dtype=np.float32), np.empty(rest * phi, dtype=np.float32)
     out = np.empty((m, rest), dtype=bool)
     for d0 in range(m):

@@ -27,7 +27,11 @@ _CLASS_BLOCK = 128  # classes per membership block, and per zero-row call
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Search node budget exhausted before a definite verdict."""
+    """Search node budget `budget` exhausted before a definite verdict."""
+
+    def __init__(self, budget: int):
+        super().__init__(f"clique search exceeded {budget} nodes")
+        self.budget = budget
 
 
 class SpectrumVerification(NamedTuple):
@@ -113,7 +117,7 @@ def find_spectrum(
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise SearchBudgetExceeded(f"clique search exceeded {budget} nodes")
+            raise SearchBudgetExceeded(budget)
         if len(clique) == need:
             return True
         # Lowest position first; a tried candidate leaves the pool.

@@ -21,7 +21,11 @@ COVER_ORDER_LIMIT = 1 << 12  # the incidence matrix takes order^2 bytes
 
 
 class CoverBudgetExceeded(RuntimeError):
-    """Exact-cover node budget exhausted before a definite verdict."""
+    """Exact-cover node budget `budget` exhausted before a definite verdict."""
+
+    def __init__(self, budget: int):
+        super().__init__(f"cover search exceeded {budget} nodes")
+        self.budget = budget
 
 
 def resolve_node_budget() -> int:
@@ -135,7 +139,7 @@ def find_tiling(
         # translate meeting them dies.
         nodes += 1
         if nodes > budget:
-            raise CoverBudgetExceeded(f"cover search exceeded {budget} nodes")
+            raise CoverBudgetExceeded(budget)
         for c in cols[solution[-1]]:
             live &= ~colrows[c]
             uncovered &= ~(1 << c)

@@ -388,6 +388,104 @@ def test_json_stdout_bytes_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
+# SHA-256 of the stdout without --json, for every GOLDEN_STDOUT command.
+GOLDEN_HUMAN_STDOUT = {
+    "counterexample continuum --m 1 --k-radius 1 --pair-budget 5000": "0d25b59b51195383b8a4a4a7da302f0da2270a6b03ee7d7957248f42b5cca2a7",
+    "counterexample continuum --m 2 --k-radius 0": "b18aa5c9b11dc6975b9394e2eb206a2c2958f415c8dace2295d6110078f50705",
+    "counterexample continuum --m 2 --k-radius 1": "5e9aa02aa8ecc03f588af60d3c5b7f8da88a9fdecffa7767a31e38bf43692f02",
+    "counterexample continuum --m 2 --k-radius 1 --pair-budget 100000": "0db1026e27f3ba444c332581e92d20c4fde1a53502c9cfe86b152ab096a84653",
+    "counterexample continuum --m 3 --k-radius 0": "756ccd039a2aa8a0f694a671fb8e0976a662d034c12c352dfab279557201023c",
+    "counterexample lattice --m 2": "ad1208656de175bf5fc7a649f76a6f44712518236dcc6a6e7d91fbd8d5fad011",
+    "counterexample lattice --m 3": "1cbf17fb56c5935a70d752d86e2c6c0b701f31fc61a8cb2e05f60057415133e6",
+    "counterexample lattice --m 4": "1f4bdc5144952198c0341a5f2aba94f7a58a831c8ca6ff168d30dfd70974de14",
+    "counterexample z2-11": "01fa404a1f249d393c440712355cf6996606f14f4f0110eecb6efd607ba23fce",
+    "counterexample z2-12": "ec9a3ed2c34c79763837051c7f638dd207aecec5c2358e5495546f5eefb8f201",
+    "counterexample z3-5": "bb8b8d785bad778532b6b1a29664dfec26b723a8b01c38d5d76458c0b88bfc50",
+    "density --m 10 --l 8 --stride 4": "193d0d938299c0da9bf092970a2cf9406327d7f80086bb7cb6f6b29831e356d0",
+    "density --m 4 --l 6 --stride 3": "91d4920aafc149260f8c77b5c12e609e19a8163232f7229e1a4fa04533620d98",
+    "scan 12": "1994fc75dd59321dea27b33efed004b104b4dec36261d40baba901e62f92ec0f",
+    "scan 15": "74886992f00a13a1a837fdccb56a8328be266d8505122da33e6b21b777766eec",
+    "scan 16 --size 4": "bcd3fd63b35ea3f7bc4be2f62f05a1834ad289a8a7f99edda191018cf8b5e0d0",
+    "scan 18": "8e8c3497c47f3fed2289c9b63a6f65d4f6cb9bbe76222646f90d24f61d7860e8",
+    "scan 20 --size 3": "5fec7175064903c538020dd1997ebf143215a980d4e8ae11183ee7a10430d507",
+    "scan 24 --size 2": "4349dc9b94f0086c54cef65806669bb0ce329a00e2cc678584ddd1ca9fac4699",
+    "scan 2^4": "9f8f08388ef2374a3580c16ca6a297985199865b69e18bb14f364ad04b2386a4",
+    "scan 2x3x3": "a8d9e9d9e51421d2f35154a5e5ff0f93d97a15d0a7ee0dfbea2cbf059ea2e0d1",
+    "scan 2x4": "ce7866a5315a58cd93fea7738c679e2e5b15204166450dbe09efdad1147582d0",
+    "scan 3x3": "bd2aae19057757a20389ba4846e07dd95cfd98e942a0c0953aad59ed48e0e770",
+    "verify --matrix h12": "a20ce259d36919a694f529be4b3215922bf018abfe1d09b55e1846d2a0e7435b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_human_stdout_bytes_are_pinned(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_HUMAN_STDOUT[command]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (
+            "verify --group 4 --set {0,1,2} --spectrum {0,1,2}",
+            1,
+            "spectrum invalid: non-orthogonal pair ((0,), (1,))\n",
+            "",
+        ),
+        (
+            "verify --group 4 --set {0,1,2} --spectrum {0,1}",
+            1,
+            "spectrum invalid: cardinality mismatch\n",
+            "",
+        ),
+        ("verify --group 3 --set {0} --spectrum {0}", 0, "spectrum valid\n", ""),
+        (
+            "verify --group 4 --set {0,1} --complement {0}",
+            1,
+            "tiling invalid: element (2,) not covered exactly once\n",
+            "",
+        ),
+        ("verify --group 4 --set {0,1} --complement {0,2}", 0, "tiling valid\n", ""),
+        (
+            "verify --matrix h6",
+            0,
+            "matrix of order 6 over 3-th roots: orthogonal\n",
+            "",
+        ),
+        (
+            "density --stride 0",
+            2,
+            "",
+            "error: fuglede density: argument --stride: must be >= 1, got 0\n",
+        ),
+        (
+            "verify --group 4 --set {0,1}",
+            2,
+            "",
+            "error: verify: need --spectrum or --complement with --set\n",
+        ),
+    ],
+)
+def test_human_verdicts_and_errors_are_pinned(capsys, argv, code, out, err):
+    assert main(argv.split()) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_human_failing_matrix_and_budget_are_pinned(capsys, monkeypatch, tmp_path):
+    from fuglede.hadamard import paper_h12
+
+    h = paper_h12().to_json()
+    h["logs"][0][0] ^= 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(h))
+    assert main(["verify", "--matrix", str(path)]) == 1
+    assert capsys.readouterr() == ("rows (0, 1) are not orthogonal\n", "")
+    monkeypatch.setenv("FUGLEDE_BUDGET", "1")
+    assert main(["scan", "4", "--size", "2"]) == 3
+    assert capsys.readouterr() == ("", "error: clique search exceeded 1 nodes\n")
+
+
 def test_export_file_bytes_are_pinned(capsys, tmp_path):
     path = tmp_path / "geometry.json"
     for m, golden in (("2", GOLDEN_EXPORT_M2), ("4", GOLDEN_EXPORT_M4)):
