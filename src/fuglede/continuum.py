@@ -5,17 +5,17 @@ Omega2 factors into the lattice character sum times per-axis cube factors
 c(eta_j); c vanishes exactly at nonzero integers, so the zero decision
 needs no numeric evaluation at all: either some coordinate of eta is a
 nonzero integer, or the verdict is the exact lattice test on the
-fractional part.
+fractional part.  Pairs are decided, and exported rows written, in numpy
+blocks of _BLOCK, so no Python list of every pair or every row is built.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .groups import integer_rows
 from .lattice import FrequencySet, LatticeSet, Point, character_sum_lattice, int64_rows
 
 Pairs = Iterator[tuple[np.ndarray, np.ndarray]]  # blocks of index pairs (i, j)
-_BLOCK = 1 << 12  # pairs decided per numpy block
+_BLOCK = 1 << 12  # pairs decided per numpy block, rows per export block
 DEFAULT_PAIR_BUDGET = 1_000_000  # pairs checked before the check samples
 
 
@@ -196,25 +196,25 @@ def _sampled_pairs(count: int, budget: int, seed: int) -> Pairs:
 def export_geometry(
     omega2: CubeUnion, lambda1: FrequencySet, path: str | Path
 ) -> None:
-    """Byte-stable JSON export: lexicographic corners, sorted keys.
+    """Byte-stable JSON export, lexicographic corners: the bytes of
+    json.dumps(payload, sort_keys=True, separators=(",", ":")) + newline,
+    written key by key in sorted order and each row array in blocks."""
+    with open(path, "w") as out:
+        out.write('{"cube_corners":')
+        _write_rows(out, omega2.corners)
+        out.write(f',"dimension":{omega2.dimension},"measure":{omega2.measure},')
+        out.write(f'"spectrum":{{"denominator":{lambda1.denominator},"numerators":')
+        _write_rows(out, lambda1.numerators)
+        out.write("}}\n")
 
-    The row lists hold millions of small lists and no cycle, so the cyclic
-    GC is paused while they are built and dumped."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        nums = lambda1.numerators.tolist()
-        payload = {
-            "dimension": omega2.dimension,
-            "cube_corners": omega2.corners.tolist(),
-            "spectrum": {"denominator": lambda1.denominator, "numerators": nums},
-            "measure": omega2.measure,
-        }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    finally:
-        if enabled:
-            gc.enable()
-    Path(path).write_text(text)
+
+def _write_rows(out: TextIO, rows: np.ndarray) -> None:
+    """rows as one JSON list of lists, written _BLOCK rows at a time."""
+    out.write("[")
+    for lo in range(0, len(rows), _BLOCK):
+        block = json.dumps(rows[lo : lo + _BLOCK].tolist(), separators=(",", ":"))
+        out.write(("," if lo else "") + block[1:-1])
+    out.write("]")
 
 
 def load_geometry(path: str | Path) -> tuple[CubeUnion, FrequencySet]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fuglede
+from fuglede import continuum
 from fuglede.cli import main
 
 
@@ -487,6 +488,7 @@ def test_human_failing_matrix_and_budget_are_pinned(capsys, monkeypatch, tmp_pat
 
 
 def test_export_file_bytes_are_pinned(capsys, tmp_path):
+    assert 6144 > continuum._BLOCK  # the M=4 file (6,144 rows) spans two blocks
     path = tmp_path / "geometry.json"
     for m, golden in (("2", GOLDEN_EXPORT_M2), ("4", GOLDEN_EXPORT_M4)):
         code, _ = run(capsys, "--json", "export", "--m", m, "--out", str(path))

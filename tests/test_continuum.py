@@ -381,6 +381,37 @@ def test_export_roundtrip(tmp_path, lifted):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("numerators", [0, 1, 7])
+@pytest.mark.parametrize("corners", [1, 3, 4])
+def test_export_blocks_give_the_bytes_of_one_dump(
+    tmp_path, monkeypatch, corners, numerators
+):
+    monkeypatch.setattr(continuum, "_BLOCK", 3)
+    omega2 = CubeUnion([(k, -k, 2 * k) for k in range(corners)])
+    lambda1 = FrequencySet(7, [(k, 6 - k, 0) for k in range(numerators)])
+    export_geometry(omega2, lambda1, path := tmp_path / "geometry.json")
+    payload = {
+        "dimension": 3,
+        "cube_corners": omega2.corners.tolist(),
+        "spectrum": {"denominator": 7, "numerators": lambda1.numerators.tolist()},
+        "measure": corners,
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_bytes() == text.encode()
+
+
+def test_export_memory_is_one_block_of_rows(tmp_path):
+    o1, l1 = lifted_pair(8)  # 196,608 cubes and as many frequencies
+    omega2 = build_omega2(o1)
+    tracemalloc.start()
+    try:
+        export_geometry(omega2, l1, tmp_path / "geometry.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_point_sets_are_read_only_int64_arrays(lifted):
     o1, l1 = lifted
     o2 = build_omega2(o1)

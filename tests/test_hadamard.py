@@ -200,6 +200,29 @@ def test_verify_butson_matches_per_pair_reference(H):
     assert all(type(v) is int for v in check.failing_pair or ())
 
 
+@st.composite
+def prime_log_matrices(draw):
+    """q in {2, 3, 5, 7}, size 1..5: the Fourier matrix j*k mod q where it
+    fits or random entries, then possibly one row repeated."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    if q <= 5 and draw(st.booleans()):
+        rows = [[j * k % q for k in range(q)] for j in range(q)]
+    else:
+        size = draw(st.integers(1, 5))
+        entries = st.lists(st.integers(0, q - 1), min_size=size, max_size=size)
+        rows = draw(st.lists(entries, min_size=size, max_size=size))
+    if len(rows) > 1 and draw(st.booleans()):
+        rows[-1] = rows[draw(st.integers(0, len(rows) - 2))]
+    return ButsonMatrix(q, tuple(map(tuple, rows)))
+
+
+@given(prime_log_matrices())
+def test_rows_are_a_spectrum_of_the_basis_exactly_when_hadamard(H):
+    # spectrum_from_butson rests on this: verify_butson alone decides the spectrum.
+    g = GroupSpec.power(H.q, H.size)
+    assert verify_butson(H).ok == is_spectrum(g, g.basis(), frozenset(H.logs)).valid
+
+
 @pytest.mark.parametrize(
     "obj",
     [
