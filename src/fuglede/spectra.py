@@ -20,10 +20,13 @@ from .groups import Element, GroupSpec
 from . import tiling
 
 MAX_SPECTRUM_SIZE = 64
-# _class_blocks walks 2^(order - 1) masks: 2^23 at this limit.
+# _class_blocks walks 2^(order - 1) masks: 2^23 at this limit.  Its masks
+# stay below 2^24, so its float64 products of powers of two are exact.
 SCAN_ORDER_LIMIT = 24
 _MASK_BLOCK = 1 << 10  # masks per canonical test in _class_blocks
-_CLASS_BLOCK = 128  # classes per membership block, and per zero-row call
+# Classes per membership block, so per zero-row call: one call for the 929
+# classes of Z_15's first mask block would add about 3 MB of peak memory.
+_CLASS_BLOCK = 128
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -196,19 +199,15 @@ def _class_blocks(
     rows over ranks.
 
     A mask containing 0 is canonical when no translate by -x, x in the
-    mask, has a smaller mask.  The translates of a whole block of masks
-    are permuted a byte at a time through lookup tables: table[x, j][b]
-    is the mask of {r - x : r in 8j + bits of b}.
+    mask, has a smaller mask.  With weight[r, x] = 2^rank(r - x), row c of
+    member @ weight holds the masks of class c translated by every -x.
+    Each is a sum of distinct powers of two below 2^order, so the float64
+    product is exact in any summation order (order <= SCAN_ORDER_LIMIT).
     """
     n = scan_order(g)
     elements = list(map(tuple, g.coords.tolist()))  # shared by all classes
-    nbytes = (n + 7) // 8
-    # moved[x, r] = mask bit of (element r) - (element x); 0 past the order.
-    diffs = (g.coords - g.coords[:, None]) % g.moduli
-    moved = np.zeros((n, 8 * nbytes), dtype=np.int64)
-    moved[:, :n] = 1 << g.ranks(diffs.reshape(-1, g.ndim)).reshape(n, n)
-    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    table = moved.reshape(n, nbytes, 8) @ byte_bits.T  # (n, nbytes, 256)
+    diffs = (g.coords[:, None] - g.coords) % g.moduli
+    weight = np.ldexp(1.0, g.ranks(diffs.reshape(-1, g.ndim)).reshape(n, n))
     if size_filter is None:
         bodies: Iterator[int] = iter(range(1 << (n - 1)))
     else:
@@ -217,11 +216,8 @@ def _class_blocks(
     while len(block := np.fromiter(islice(bodies, _MASK_BLOCK), dtype=np.int64)):
         masks = (block << 1) | 1  # subsets containing 0
         member = (masks[:, None] >> ranks & 1).astype(bool)
-        shifted = np.zeros((n, len(masks)), dtype=np.int64)
-        for j in range(nbytes):
-            shifted |= table[:, j][:, (masks >> 8 * j) & 255]
         # Only translates by -x for x in the mask count; x = 0 changes nothing.
-        member = member[~(member.T & (shifted < masks)).any(axis=0)]
+        member = member[~(member & (member @ weight < masks[:, None])).any(axis=1)]
         for lo in range(0, len(member), _CLASS_BLOCK):
             chunk = member[lo : lo + _CLASS_BLOCK]
             # Through a list, so each tuple is made at its final size: tuples

@@ -401,7 +401,7 @@ def test_export_blocks_give_the_bytes_of_one_dump(
 
 
 def test_export_memory_is_one_block_of_rows(tmp_path):
-    o1, l1 = lifted_pair(8)  # 196,608 cubes and as many frequencies
+    o1, l1 = lifted_pair(6)  # 46,656 cubes and as many frequencies
     omega2 = build_omega2(o1)
     tracemalloc.start()
     try:

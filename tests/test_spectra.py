@@ -182,19 +182,22 @@ def test_size_filter_walks_the_same_classes_in_order(g):
         assert list(canonical_classes(g, size)) == expected
 
 
-def classes_by_definition(g):
+def classes_by_definition(g, size=None):
     """Every subset containing 0 whose rank mask is the least over its
-    translates that contain 0, in increasing mask order, by brute force."""
+    translates that contain 0, in increasing mask order, by brute force.
+    With a size, only the subsets of that size are walked."""
     elems = [g.unrank(r) for r in range(g.order)]
     # minus[x][y] = rank of y - x, from the scalar group arithmetic.
     minus = [[g.rank(g.sub(y, x)) for y in elems] for x in elems]
+    sizes = range(1, g.order + 1) if size is None else [size]
     out = []
-    for body in range(1 << (g.order - 1)):
-        ranks = [0] + [r + 1 for r in range(g.order - 1) if body >> r & 1]
-        mask = (body << 1) | 1
-        if all(sum(1 << minus[x][y] for y in ranks) >= mask for x in ranks):
-            out.append(frozenset(elems[r] for r in ranks))
-    return out
+    for k in sizes:
+        for rest in itertools.combinations(range(1, g.order), k - 1):
+            ranks = (0, *rest)
+            mask = sum(1 << r for r in ranks)
+            if all(sum(1 << minus[x][y] for y in ranks) >= mask for x in ranks):
+                out.append((mask, frozenset(elems[r] for r in ranks)))
+    return [T for _, T in sorted(out, key=lambda item: item[0])]
 
 
 DEFINITION_GROUPS = ["4", "6", "8", "12", "2^3", "3x3", "2x4", "2^4"]
@@ -214,6 +217,14 @@ def test_canonical_classes_match_definition(monkeypatch, descriptor, blocks):
         assert list(canonical_classes(g, size)) == [
             T for T in expected if len(T) == size
         ]
+
+
+@pytest.mark.parametrize("descriptor", ["24", "2x12", "2x3x4"])
+def test_canonical_classes_match_definition_at_full_width(descriptor):
+    # Order 24: the masks reach bit 23, the top of SCAN_ORDER_LIMIT.
+    g = GroupSpec.from_descriptor(descriptor)
+    for size in range(1, 6):
+        assert list(canonical_classes(g, size)) == classes_by_definition(g, size)
 
 
 @pytest.mark.parametrize("blocks", ["default", "small"])
