@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .cyclotomic import first_nonvanishing_pair, vanishing, vanishing_sums
+from .cyclotomic import first_nonvanishing_pair, reduction_matrix, vanishing_sums
 from .groups import Element, GroupSpec
 from . import tiling
 
@@ -24,8 +24,8 @@ MAX_SPECTRUM_SIZE = 64
 # stay below 2^24, so its float64 products of powers of two are exact.
 SCAN_ORDER_LIMIT = 24
 _MASK_BLOCK = 1 << 10  # masks per canonical test in _class_blocks
-# Classes per membership block, so per zero-row call: one call for the 929
-# classes of Z_15's first mask block would add about 3 MB of peak memory.
+# Classes per membership block and zero-row product: one product per mask block
+# wakes OpenBLAS's threads (60 % more CPU time, no less wall) and peaks higher.
 _CLASS_BLOCK = 128
 
 
@@ -257,8 +257,10 @@ def scan_records(
     # add[x, y]: the rank of (element x) + (element y); T's columns translate T.
     sums = (g.coords[:, None] + g.coords) % g.moduli
     add = g.ranks(sums.reshape(-1, g.ndim)).reshape(order, order)
-    # codes[x, d] = d * m + pairing(d, x): the bin of x's root in the sum at d.
-    codes = g.pairing_points(g.coords) @ g.coords.T % m + np.arange(order) * m
+    # chars[x, (d, e)]: coefficient e of omega_m ** pairing(d, x) mod Phi_m, in
+    # {-1, 0, 1}; member @ chars sums at most order <= 24 of them: exact.
+    pairing = g.pairing_points(g.coords) @ g.coords.T % m
+    chars = reduction_matrix(m)[pairing].reshape(order, -1).astype(np.float32)
     # The early returns of find_spectrum and find_tiling, by #T.
     alone, not_spectral = SpectrumSearch(True, (g.identity(),)), SpectrumSearch(False)
     obstructed = {
@@ -266,12 +268,8 @@ def scan_records(
         for k in range(2, order) if order % k
     }
     for classes, member in _class_blocks(g, size_filter):
-        # Z(T) of the block by one bincount and one kernel call; the sum at 0 is #T.
-        cls, xs = np.nonzero(member)
-        bins = codes[xs]
-        bins += (cls * (order * m))[:, None]  # in place: one fewer block-sized array
-        counts = np.bincount(bins.ravel(), minlength=len(member) * order * m)
-        zeros = vanishing(counts.reshape(len(member), order, m))
+        # Z(T) of the block: the sums whose remainders vanish; the sum at 0 is #T.
+        zeros = ~(member @ chars).reshape(len(member), order, -1).any(axis=2)
         sizes = member.sum(axis=1)
         search = (zeros.sum(axis=1) >= sizes - 1) & (sizes > 1)
         cover = order % sizes == 0

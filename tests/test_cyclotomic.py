@@ -89,7 +89,8 @@ def test_is_zero_agrees_with_floating_point(m, data):
 
 def test_reduction_rows_have_unit_coefficients():
     """x^k mod Phi_m has coefficients in {-1, 0, 1} for every admitted order
-    m and every k < m: the bound behind the lattice table's exactness guard."""
+    m and every k < m: the bound behind the lattice table's exactness guard
+    and behind the exactness of the scan's float32 product with `chars`."""
     for m in range(1, MAX_ORDER + 1):
         matrix = reduction_matrix(m)
         assert matrix.shape == (m, len(cyclotomic_polynomial(m)) - 1)

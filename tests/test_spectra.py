@@ -9,9 +9,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fuglede.cli import scan_line_writer
+from fuglede.cyclotomic import vanishing
 from fuglede.groups import GroupSpec
 from fuglede.hadamard import descend, paper_h6, paper_h12, spectrum_from_butson
-from fuglede import spectra, tiling
+from fuglede import cyclotomic, spectra, tiling
 from fuglede.spectra import (
     SearchBudgetExceeded,
     find_spectrum,
@@ -241,12 +242,13 @@ def test_size_filtered_scan_matches_full_scan(monkeypatch, descriptor, blocks):
         ]
 
 
-@pytest.mark.parametrize("descriptor", ["15", "2^4", "3x3", "12"])
+@pytest.mark.parametrize("descriptor", ["15", "2^4", "3x3", "12", "2x6", "2x8"])
 def test_scan_zero_rows_match_fourier_zero_set(monkeypatch, descriptor):
     """The scan hands a class its block-computed Z(T) row exactly when a
     clique search can run: #T > 1 and at least #T - 1 zeros.  The row must
     be the rank mask of fourier_zero_set, and searching with it must give
-    the same result, node count included, as searching without it."""
+    the same result, node count included, as searching without it.  In
+    2x6 and 2x8 the pairing scales the coordinate of Z_2 by m/2."""
     g = GroupSpec.from_descriptor(descriptor)
     search = spectra.find_spectrum
     seen = []
@@ -272,6 +274,25 @@ def test_scan_zero_rows_match_fourier_zero_set(monkeypatch, descriptor):
         expected[g.ranks(sorted(zeros))] = True
         assert zero.dtype == bool and zero.tolist() == expected.tolist()
         assert search(g, T, zero) == search(g, T)
+
+
+def test_scan_makes_no_vanishing_call(monkeypatch):
+    """The scan decides its zero rows in Z[omega] itself, as the lattice
+    table does: a full scan of Z_15 makes no `vanishing` call, while
+    fourier_zero_set, which keeps `vanishing_sums`, still reaches it."""
+    calls = []
+
+    def counting_vanishing(counts):
+        calls.append(len(counts))
+        return vanishing(counts)
+
+    monkeypatch.setattr(cyclotomic, "vanishing", counting_vanishing)
+    assert not hasattr(spectra, "vanishing")
+    g = GroupSpec.cyclic(15)
+    _, summary = fuglede_scan(g)
+    assert summary.classes == 2191 and calls == []
+    fourier_zero_set(g, [(0,), (5,), (10,)])
+    assert calls == [15]
 
 
 @pytest.mark.parametrize("blocks", ["default", "small"])
