@@ -21,7 +21,7 @@ from . import tiling
 
 MAX_SPECTRUM_SIZE = 64
 # _class_blocks walks 2^(order - 1) masks: 2^23 at this limit.  Its masks
-# stay below 2^24, so its float64 products of powers of two are exact.
+# stay below 2^24, so its float32 products of powers of two are exact.
 SCAN_ORDER_LIMIT = 24
 _MASK_BLOCK = 1 << 10  # masks per canonical test in _class_blocks
 # Classes per membership block and zero-row product: one product per mask block
@@ -201,13 +201,14 @@ def _class_blocks(
     A mask containing 0 is canonical when no translate by -x, x in the
     mask, has a smaller mask.  With weight[r, x] = 2^rank(r - x), row c of
     member @ weight holds the masks of class c translated by every -x.
-    Each is a sum of distinct powers of two below 2^order, so the float64
-    product is exact in any summation order (order <= SCAN_ORDER_LIMIT).
+    Each is a sum of distinct powers of two below 2^order <= 2^24, so the
+    float32 product is exact in any summation order (float32 holds every
+    integer up to 2^24).  The zero rows are float32 too: one BLAS routine.
     """
     n = scan_order(g)
     elements = list(map(tuple, g.coords.tolist()))  # shared by all classes
     diffs = (g.coords[:, None] - g.coords) % g.moduli
-    weight = np.ldexp(1.0, g.ranks(diffs.reshape(-1, g.ndim)).reshape(n, n))
+    weight = np.ldexp(np.float32(1), g.ranks(diffs.reshape(-1, g.ndim)).reshape(n, n))
     if size_filter is None:
         bodies: Iterator[int] = iter(range(1 << (n - 1)))
     else:
@@ -217,7 +218,8 @@ def _class_blocks(
         masks = (block << 1) | 1  # subsets containing 0
         member = (masks[:, None] >> ranks & 1).astype(bool)
         # Only translates by -x for x in the mask count; x = 0 changes nothing.
-        member = member[~(member & (member @ weight < masks[:, None])).any(axis=1)]
+        smaller = member @ weight < masks[:, None].astype(np.float32)
+        member = member[~(member & smaller).any(axis=1)]
         for lo in range(0, len(member), _CLASS_BLOCK):
             chunk = member[lo : lo + _CLASS_BLOCK]
             # Through a list, so each tuple is made at its final size: tuples
@@ -250,36 +252,44 @@ def scan_records(
     """The record of every subset class, in canonical order, each made
     when it is asked for.  Only a class with #T > 1 and at least #T - 1
     Fourier zeros reaches find_spectrum, and only one whose #T divides the
-    order reaches find_tiling; the rest get those functions' early returns.
+    order and whose cover search outlives its first node reaches
+    find_tiling; the rest get those functions' own results.
     """
     order, m = scan_order(g), g.exponent
-    tiling.resolve_node_budget()  # a bad value fails before the first record
+    budget = tiling.resolve_node_budget()  # a bad value fails before the first record
     # add[x, y]: the rank of (element x) + (element y); T's columns translate T.
     sums = (g.coords[:, None] + g.coords) % g.moduli
     add = g.ranks(sums.reshape(-1, g.ndim)).reshape(order, order)
+    sub = add[:, add.argmin(axis=0)]  # sub[x, y]: the rank of x - y
     # chars[x, (d, e)]: coefficient e of omega_m ** pairing(d, x) mod Phi_m, in
     # {-1, 0, 1}; member @ chars sums at most order <= 24 of them: exact.
     pairing = g.pairing_points(g.coords) @ g.coords.T % m
     chars = reduction_matrix(m)[pairing].reshape(order, -1).astype(np.float32)
-    # The early returns of find_spectrum and find_tiling, by #T.
+    # The results of find_spectrum and find_tiling that end by node 1, by #T.
     alone, not_spectral = SpectrumSearch(True, (g.identity(),)), SpectrumSearch(False)
-    obstructed = {
+    ended = {
         k: tiling.TilingResult(False, None, tiling.DivisibilityObstruction(k, order))
-        for k in range(2, order) if order % k
+        if order % k else tiling.TilingResult(False, exhausted=True, nodes=1)
+        for k in range(1, order + 1)
     }
     for classes, member in _class_blocks(g, size_filter):
         # Z(T) of the block: the sums whose remainders vanish; the sum at 0 is #T.
         zeros = ~(member @ chars).reshape(len(member), order, -1).any(axis=2)
         sizes = member.sum(axis=1)
         search = (zeros.sum(axis=1) >= sizes - 1) & (sizes > 1)
-        cover = order % sizes == 0
+        # The cover search dies at node 1 when some c outside T has c - T in
+        # T - T: every translate covering c then meets T (cf. Coven-Meyerowitz,
+        # (A - A) & (B - B) = {0}).  With no node budget it must run and raise.
+        diffs = (member[:, add] & member[:, None]).any(axis=2)  # T - T
+        dead = ((diffs[:, sub] | ~member[:, None]).all(axis=2) > member).any(axis=1)
+        cover = (order % sizes == 0) & ~(dead & (budget > 0))
         rows = zip(classes, member, zeros, *(a.tolist() for a in (sizes, search, cover)))
         for T, row, zero, size, searched, covered in rows:
             if searched:
                 spec = find_spectrum(g, T, zero)
             else:
                 spec = alone if size == 1 else not_spectral
-            tile = tiling.find_tiling(g, T, add[:, row]) if covered else obstructed[size]
+            tile = tiling.find_tiling(g, T, add[:, row]) if covered else ended[size]
             yield _record(T, spec, tile)
 
 

@@ -317,6 +317,11 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
             2,
             "FUGLEDE_BUDGET must be a non-negative integer, got 'abc'",
         ),
+        # With no node budget the first search raises before any record.
+        ("0", ["scan", "12", "--size", "3"], 3, "clique search exceeded 0 nodes"),
+        # The block can tell that this first class's cover search dies at its
+        # first node, yet with no budget that search still runs and raises.
+        ("0", ["scan", "2x6", "--size", "4"], 3, "cover search exceeded 0 nodes"),
     ],
 )
 def test_failures_exit_cleanly_with_json(
@@ -368,6 +373,9 @@ GOLDEN_STDOUT = {
     "scan 2x3x3": "8843a08a1059a020b46179efc441a2023819f4ea46606f023890e4224990622e",
     "scan 20 --size 3": "e33f9e6c4e070fe4879d788fb17d4efdb06a6fdf7a7debab3b847fafd3fd17fb",
     "scan 24 --size 2": "a5d185bebce53988276ce22f7f1f8393acfa5fd2315b25397c9976280efb8c61",
+    # Order 24: the canonical test's float32 product reaches bit 23.
+    "scan 24 --size 3": "c6bad67734f326ea1e2ec05baa10f352d7d70b372050884466e620aa99b6b80d",
+    "scan 2x3x4 --size 5": "681d9fe1b4dc45dadfd6355f6885b784ab0338c268a2d6c5668feb3c486bab0f",
     "verify --matrix h12": "5fa5fd4b747f91d8a4bcbd5918cf05442dc804d79b1d5257e7fdd93df4127f58",
     "counterexample continuum --m 2 --k-radius 1 --pair-budget 100000": "474574eb15ece6496555108bd48157a6cd511117016828f09084d3d01765d6cd",
     "counterexample continuum --m 2 --k-radius 0": "275dd49bdc1c49f9a71a82890b85d8d18058cc3ddef73196bf511c33d54bbcbb",
@@ -410,6 +418,8 @@ GOLDEN_HUMAN_STDOUT = {
     "scan 18": "8e8c3497c47f3fed2289c9b63a6f65d4f6cb9bbe76222646f90d24f61d7860e8",
     "scan 20 --size 3": "5fec7175064903c538020dd1997ebf143215a980d4e8ae11183ee7a10430d507",
     "scan 24 --size 2": "4349dc9b94f0086c54cef65806669bb0ce329a00e2cc678584ddd1ca9fac4699",
+    "scan 24 --size 3": "8c80b64068d96109c9ca5c131ec3abd068cb4f045d5e90059d6d773b68c55174",
+    "scan 2x3x4 --size 5": "a172371b9b0d7408e6c2e80004e9cec28e695219348a185c89f02c2377f4bdc6",
     "scan 2^4": "9f8f08388ef2374a3580c16ca6a297985199865b69e18bb14f364ad04b2386a4",
     "scan 2x3x3": "a8d9e9d9e51421d2f35154a5e5ff0f93d97a15d0a7ee0dfbea2cbf059ea2e0d1",
     "scan 2x4": "ce7866a5315a58cd93fea7738c679e2e5b15204166450dbe09efdad1147582d0",

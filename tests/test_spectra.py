@@ -315,7 +315,13 @@ def test_scan_records_match_the_per_class_route(monkeypatch, descriptor, blocks)
 
 def test_scan_searches_only_the_classes_the_block_leaves_open(monkeypatch):
     """On Z_15, 32 of the 2,191 classes can hold a spectrum of their size
-    by the zero count, and 234 have a size dividing 15."""
+    by the zero count, and 234 have a size dividing 15; of those, 46 tile
+    or take the cover search past its first node."""
+    g = GroupSpec.cyclic(15)
+    covers = [tiling.find_tiling(g, T) for T in canonical_classes(g) if 15 % len(T) == 0]
+    assert len(covers) == 234
+    open_covers = sum(result.tiles or result.nodes > 1 for result in covers)
+    assert open_covers == 46
     calls = {"find_spectrum": 0, "find_tiling": 0}
 
     def counted(module, name):
@@ -329,9 +335,49 @@ def test_scan_searches_only_the_classes_the_block_leaves_open(monkeypatch):
 
     counted(spectra, "find_spectrum")
     counted(tiling, "find_tiling")
-    records, _ = fuglede_scan(GroupSpec.cyclic(15))
+    records, _ = fuglede_scan(g)
     assert len(records) == 2191
-    assert calls == {"find_spectrum": 32, "find_tiling": 234}
+    assert calls == {"find_spectrum": 32, "find_tiling": open_covers}
+
+
+def dies_at_first_node_by_definition(g, T):
+    """Some c outside T has c - T inside T - T, in tuple arithmetic."""
+    diffs = {g.sub(a, b) for a in T for b in T}
+    outside = (c for c in map(g.unrank, range(g.order)) if c not in T)
+    return any(all(g.sub(c, t) in diffs for t in T) for c in outside)
+
+
+@pytest.mark.parametrize("descriptor", ["15", "12", "2x6", "2^4", "2x3x3"])
+def test_scan_settles_exactly_the_covers_that_die_at_their_first_node(
+    monkeypatch, descriptor
+):
+    """A class whose #T divides the order skips find_tiling exactly when
+    that search returns not tiling at its first node, which is exactly
+    when some c outside T has c - T inside T - T; the record is then the
+    search's own: not tiling, no complement, no obstruction."""
+    g = GroupSpec.from_descriptor(descriptor)
+    search = tiling.find_tiling
+    searched = set()
+
+    def recording(g, T, translates=None):
+        searched.add(frozenset(T))
+        return search(g, T, translates)
+
+    monkeypatch.setattr(tiling, "find_tiling", recording)
+    records, _ = fuglede_scan(g)
+    settled = 0
+    for rec in records:
+        T = frozenset(rec.elements)
+        if g.order % len(T):
+            assert T not in searched
+            continue
+        result = search(g, T)
+        dies = not result.tiles and result.nodes == 1
+        assert dies == dies_at_first_node_by_definition(g, T) == (T not in searched)
+        if dies:
+            settled += 1
+            assert (rec.tiles, rec.complement, rec.obstruction) == (False, None, None)
+    assert settled > 0
 
 
 def test_scan_z4_clean():
