@@ -6,10 +6,12 @@ from __future__ import annotations
 import cmath
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 from fuglede import tiling
 from fuglede.cyclotomic import CyclotomicInt
 from fuglede.groups import Element, GroupSpec
-from fuglede.lattice import LatticeSet, Point, _window_counts
+from fuglede.lattice import LatticeSet, Point
 from fuglede.spectra import ScanRecord, _class_blocks, _record, find_spectrum
 
 
@@ -19,6 +21,30 @@ def to_complex(value: CyclotomicInt) -> complex:
     return sum(
         c * cmath.exp(2j * cmath.pi * k / m) for k, c in enumerate(value.coeffs) if c
     )
+
+
+def _window_counts(omega1: LatticeSet, corners, window: int) -> np.ndarray:
+    """Exact #(omega1 on (x0 + [0,window)^n)) for every corner x0 in the
+    grid corners[0] x ... x corners[n-1], as an int64 array of that shape.
+
+    Per axis, a (residue x start) table counts the cell indices k in [0,M)
+    with start <= 3k + residue < start + window; a window count is the sum
+    over base points of the product of their per-axis counts.
+    """
+    residue = np.arange(3)[:, None]
+    tables = []
+    for starts in corners:
+        starts = np.asarray(starts, dtype=np.int64)
+        lo = np.clip(-(-(starts - residue) // 3), 0, omega1.m)
+        hi = np.clip(-(-(starts + window - residue) // 3), 0, omega1.m)
+        tables.append(np.maximum(hi - lo, 0))
+    total = 0
+    for b in omega1.base:
+        term = tables[0][b[0]]
+        for table, c in zip(tables[1:], b[1:]):
+            term = np.multiply.outer(term, table[c])
+        total = total + term
+    return total
 
 
 def window_count(omega1: LatticeSet, t: Point, x0: Point, window: int) -> int:

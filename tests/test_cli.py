@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import fuglede
-from fuglede import continuum
-from fuglede.cli import main
+from fuglede import continuum, lattice
+from fuglede.cli import _finite_counterexample, main
 
 
 def run(capsys, *argv):
@@ -141,6 +142,28 @@ def test_density_small(capsys):
     code, out = run(capsys, "--json", "density", "--m", "4", "--l", "6", "--stride", "3")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_density_at_scales_past_a_window_scan(capsys):
+    # 185^5 windows at M = 64 and about 2.4e32 at M = 10^6 (stride 1): the
+    # report comes from the corner residues mod 3 and counts no window.
+    code, _ = run(capsys, "--json", "density", "--m", "64", "--l", "8", "--stride", "1")
+    assert code == 0
+    m, window = 10**6, 9
+    for stride in (1, 4):
+        start = time.perf_counter()
+        code, out = run(
+            capsys, "--json", "density", "--m", str(m), "--l", str(window),
+            "--stride", str(stride),
+        )
+        assert code == 0 and time.perf_counter() - start < 1
+        payload = json.loads(out)
+        windows = len(range(0, 3 * m - window + 1, stride)) ** 5
+        assert payload["windows"] == payload["nonzero_windows"] == windows
+    _, t5, _ = _finite_counterexample("z3-5")
+    o1 = lattice.build_omega1(t5, m)
+    assert lattice.density_check(o1, window).ok
+    assert "points" not in vars(o1)
 
 
 def test_json_determinism(capsys):

@@ -26,7 +26,7 @@ from fuglede.lattice import (
     verify_ortho_lattice,
 )
 from fuglede.spectra import is_spectrum
-from oracles import window_count
+from oracles import _window_counts, window_count
 
 
 def as_tuples(points):
@@ -521,6 +521,25 @@ def test_density_check_matches_brute_force(o1, data):
     assert report.min_density == min(densities)
     assert report.max_density == max(densities)
     assert report.ok == all(abs(d - target) <= tolerance for d in densities)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_density_check_matches_window_scan_in_dimension_5(z3_5_pair, m):
+    """n = 5, which the brute-force test above does not draw: every window
+    side and strides 1..4, against the exact count of every window on the
+    stride grid."""
+    T5, _ = z3_5_pair
+    o1 = build_omega1(T5, m)
+    for window in range(3, 3 * m + 1):
+        for stride in range(1, 5):
+            positions = range(0, 3 * m - window + 1, stride)
+            counts = _window_counts(o1, [positions] * 5, window)
+            hit = counts[counts > 0]
+            report = density_check(o1, window, stride)
+            assert report.windows == counts.size
+            assert report.nonzero_windows == hit.size
+            assert report.min_density == Fraction(int(hit.min()), window**5)
+            assert report.max_density == Fraction(int(hit.max()), window**5)
 
 
 def test_density_check_never_expands_points(z3_5_pair):
