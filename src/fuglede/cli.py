@@ -124,7 +124,7 @@ def cmd_counterexample(args) -> tuple[bool, dict, list[str]]:
             payload.update(
                 k_radius=args.k_radius,
                 # Omega_2 has one unit cube per lifted point, all distinct.
-                measure=len(omega1.points),
+                measure=len(omega1.base) * omega1.m**omega1.dimension,
                 pairs_checked=result.pairs_checked,
                 sampled=result.sampled,
             )

@@ -1,13 +1,14 @@
 """Thickening the lattice counterexample into a union of unit cubes.
 
-Omega2 = Omega1 + [0,1)^n.  Against a frequency eta the inner product over
-Omega2 factors into the lattice character sum times per-axis cube factors
-c(eta_j); c vanishes exactly at nonzero integers, so the zero decision
-needs no numeric evaluation at all: either some coordinate of eta is a
-nonzero integer, or the verdict is the exact lattice test on the
-fractional part.  Pairs are decided, and exported rows written, in numpy
-blocks of _BLOCK, so no Python list of every pair or every row is built.
-"""
+Omega2 = Omega1 + [0,1)^n with Omega1 = 3[0,M)^n + base.  Against a
+frequency eta = delta/denominator + shift the inner product over Omega2
+factors three ways: per-axis cube factors c(eta_j), per-axis geometric sums
+over the cell index, and the character sum over the base cell.  c vanishes
+exactly at nonzero integers and a geometric sum exactly where its ratio is
+a nontrivial root of unity of order dividing M, so no numeric evaluation is
+needed: an axis settles the pair, or the exact test of the #base-term cell
+sum does.  Pairs are decided, and exported rows written, in numpy blocks of
+_BLOCK, so no Python list of every pair or every row is built."""
 
 from __future__ import annotations
 
@@ -108,36 +109,32 @@ def verify_spectrum_truncation(
     spectrum is not finitely checkable; this certifies orthogonality only.
 
     Frequency f is numerator f // S plus shift f % S, n digits base 2K+1 that
-    are the coordinates plus K.  Pairs are decided in blocks by the rules of
-    `inner_product_is_zero`, one lattice sum per distinct delta, kept by its
-    code, batched per block; a repeated frequency (eta = 0) fails that sum.
+    are the coordinates plus K.  Pairs are decided in blocks: a pair whose
+    cube or geometric factor vanishes on some axis (one gather from a table
+    over the residues mod the denominator) is orthogonal; the rest take one
+    batched cell sum per block.  A repeated frequency (eta = 0) fails that sum.
     """
     if k_radius < 0:
         raise ValueError("k_radius must be >= 0")
     denom, n = lambda1.denominator, omega1.dimension
-    nums, shape, side = lambda1.rows(n), (denom,) * n, (2 * k_radius + 1,) * n
+    nums, side = lambda1.rows(n), (2 * k_radius + 1,) * n
     count = len(nums) * (per := side[0] ** n)
     sampled = count * (count - 1) // 2 > pair_budget
     blocks = _sampled_pairs(count, pair_budget, 0) if sampled else _all_pairs(count)
-    # Per delta code: 0 unsummed, 1 nonzero sum, 2 vanishing sum (lazy zero pages).
-    memo = np.zeros(denom**n, dtype=np.int8)
-    checked = 0
+    # sum_{j<M} w^(3rj), w = exp(2 pi i / denom), vanishes iff w^(3r) != 1 = w^(3rM).
+    r = np.arange(denom)
+    geometric = (3 * r % denom != 0) & (3 * r * omega1.m % denom == 0)
+    cell, checked = LatticeSet(omega1.base, 1), 0
     for i, j in blocks:
         # Drawn pairs are unordered; the difference is taken from the lower index.
         (num_a, num_b), shift = np.divmod(np.sort([i, j], axis=0), per)
         delta = (nums[num_a] - nums[num_b]) % denom
-        code = np.ravel_multi_index(delta.T, shape)
         # A cube factor vanishes where delta_k = 0 and the shifts differ (the
         # numerators are reduced, so no carry reaches such a coordinate).
         moved = [a != b for a, b in np.unravel_index(shift, side)]  # per axis
-        ok = ((delta.T == 0) & moved).any(axis=0)
-        live = code[dead := ~ok]
-        if (new := np.sort(live[memo[live] == 0])).size:
-            # Sorted codes repeat only next to each other; np.unique imports numpy.ma.
-            new = new[np.r_[True, new[1:] != new[:-1]]]
-            deltas = np.transpose(np.unravel_index(new, shape))
-            memo[new] = 1 + vanishing(character_sum_lattice(omega1, deltas, denom))
-        ok[dead] = memo[live] == 2
+        ok = (((delta.T == 0) & moved) | geometric[delta.T]).any(axis=0)
+        dead = ~ok
+        ok[dead] = vanishing(character_sum_lattice(cell, delta[dead], denom))
         if not ok.all():
             first = int(np.argmin(ok))
             num, shift = np.divmod([i[first], j[first]], per)

@@ -646,3 +646,20 @@ def test_continuum_sample_at_the_largest_radius(capsys):
     code, out = run(capsys, *argv, "--k-radius", "30")
     assert code == 2
     assert "at most 2^32 - 1" in json.loads(out)["error"]
+
+
+def test_continuum_builds_no_point_set_of_the_lift(capsys, monkeypatch):
+    # Verdicts come from the factorization and the measure from (base, M):
+    # only the one-cell set (M = 1) of the cell sums has its points read.
+    cached = lattice.LatticeSet.points
+
+    def points(self):
+        if self.m != 1:
+            raise AssertionError(f"point set of the lift at M = {self.m}")
+        return cached.func(self)
+
+    monkeypatch.setattr(lattice.LatticeSet, "points", property(points))
+    command = "counterexample continuum --m 2 --k-radius 1 --pair-budget 100000"
+    code, out = run(capsys, "--json", *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]

@@ -56,9 +56,9 @@ def test_measure_equals_point_count(lifted):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_cube_count_equals_lifted_point_count(m):
     """The lifted points are distinct, so the CLI may report the measure of
-    Omega_2 as the point count without building Omega_2."""
+    Omega_2 as #base * M^5 without building Omega_2 or the points."""
     o1, _ = lifted_pair(m)
-    assert build_omega2(o1).measure == len(o1.points) == 6 * m**5
+    assert build_omega2(o1).measure == len(o1.points) == len(o1.base) * m**5 == 6 * m**5
 
 
 def test_equal_base_nonzero_shift_is_orthogonal(lifted):
@@ -279,8 +279,9 @@ def test_sampled_pairs_reject_counts_of_33_bits():
 
 
 def test_truncation_memory_is_flat_in_the_radius():
-    # Shifts are decoded from the frequency index and the memo is the
-    # (3M)^5 table, so K = 8 (6 * 17^5 frequencies) needs no shift array.
+    # Shifts are decoded from the frequency index and the verdicts need only
+    # a table over the residues mod 3M, so K = 8 (6 * 17^5 frequencies) needs
+    # no shift array.
     o1, l1 = lifted_pair(1)
     tracemalloc.start()
     try:
@@ -292,15 +293,15 @@ def test_truncation_memory_is_flat_in_the_radius():
     assert peak < 5 * 2**20
 
 
-def test_each_difference_code_is_summed_once(monkeypatch, lifted):
-    """A block sums its new codes in one batched call: 2,761 distinct rows
-    over the 100,000 pairs, each summed once, in at most one call for each
-    of the 25 blocks of 4,096 pairs, and no scalar zero test."""
-    o1, l1 = lifted
-    calls = []
+def test_pairs_are_decided_from_the_factors_without_points(monkeypatch):
+    """Axes settle most pairs; the rest of a block take one batched sum over
+    the base cell (M = 1), in at most one call for each of the 25 blocks of
+    4,096 pairs, with no scalar zero test and no point set of the lift."""
+    o1, l1 = lifted_pair(2)
+    cells = []
 
     def recording(omega1, deltas, denom):
-        calls.append([tuple(d) for d in deltas.tolist()])
+        cells.append(omega1.m)
         return character_sum_lattice(omega1, deltas, denom)
 
     def scalar(self):
@@ -310,9 +311,9 @@ def test_each_difference_code_is_summed_once(monkeypatch, lifted):
     monkeypatch.setattr(CyclotomicInt, "is_zero", scalar)
     result = verify_spectrum_truncation(o1, l1, 1, pair_budget=100_000)
     assert result.valid and result.pairs_checked == 100_000
-    rows = [row for call in calls for row in call]
-    assert len(rows) == len(set(rows)) == 2761
-    assert continuum._BLOCK == 4096 and len(calls) <= 25
+    assert continuum._BLOCK == 4096 and 0 < len(cells) <= 25
+    assert set(cells) == {1}
+    assert "points" not in vars(o1)
 
 
 @st.composite
@@ -332,11 +333,21 @@ def truncation_cases(draw):
         )
     )
     spec = draw(st.one_of(st.just(cube), st.lists(st.sampled_from(cube), min_size=1)))
-    m, k_radius = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    m, k_radius = draw(st.integers(1, 3)), draw(st.integers(0, 1))
     l1 = build_lambda1(spec, m)
     denom, nums = l1.denominator, list(map(tuple, l1.numerators.tolist()))
-    kind = draw(st.sampled_from(["as built", "shifted", "repeated", "truncated"]))
-    if kind == "shifted":
+    kinds = ["as built", "shifted", "repeated", "truncated", "another denominator"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "another denominator":
+        # The same frequencies over a multiple of 3M, or fresh rows over any
+        # other denominator, where the geometric factors vanish elsewhere.
+        denom = draw(st.integers(1, 40).filter(lambda d: d != 3 * m))
+        if denom % (3 * m) == 0:
+            nums = [tuple(v * denom // (3 * m) for v in row) for row in nums]
+        else:
+            row = st.tuples(*[st.integers(0, denom - 1)] * n)
+            nums = draw(st.lists(row, min_size=1, max_size=len(nums)))
+    elif kind == "shifted":
         i = draw(st.integers(0, len(nums) - 1))
         nums[i] = tuple((v + draw(st.integers(0, denom - 1))) % denom for v in nums[i])
     elif kind == "repeated":
