@@ -39,16 +39,22 @@ def _finite_counterexample(variant: str):
 
 
 def _lifted_pair(m: int, variant: str):
-    """Omega_1 and Lambda_1 at scale m; scales whose order-3m zero tests the
-    cyclotomic kernel refuses, or whose lattice verdict table would pass its
-    memory budget, are rejected before any point is built."""
+    """Omega_1 and Lambda_1 at scale m, refused before anything is built if
+    the kernel refuses the order 3m or, for `lattice`, if TABLE_BUDGET cannot
+    hold two int64 copies of the 6·m^5 frequency rows (the sort's), two int64
+    codes per row and the certificate's (3m)^5-byte membership table."""
     from . import lattice
 
     if 3 * m > MAX_ORDER:
         raise ValueError(f"--m {m}: root order 3M = {3 * m} exceeds {MAX_ORDER}")
     g5, t5, l5 = _finite_counterexample("z3-5")
-    if variant == "lattice":
-        lattice.check_table_budget(3 * m, g5.ndim)
+    n, budget = g5.ndim, lattice.TABLE_BUDGET
+    need = 8 * len(l5) * m**n * (2 * n + 2) + (3 * m) ** n
+    if variant == "lattice" and need > budget:
+        raise ValueError(
+            f"--m {m}: the lattice certificate needs about {need >> 20} MiB, "
+            f"beyond its {budget >> 20} MiB budget"
+        )
     return lattice.build_omega1(t5, m), lattice.build_lambda1(l5, m)
 
 
@@ -86,23 +92,18 @@ def cmd_counterexample(args) -> tuple[bool, dict, list[str]]:
         omega1, lambda1 = _lifted_pair(args.m, args.variant)
         obstruction = lattice.torus_non_tiling(omega1)
         payload["m"] = args.m
+        # The lift has #base·M^n distinct points, one unit cube each in Omega_2.
+        size = len(omega1.base) * args.m**omega1.dimension
         if args.variant == "lattice":
             ortho = lattice.verify_ortho_lattice(omega1, lambda1)
             cells = lattice.cell_count_check(omega1)
+            what = f"orthogonality of {len(lambda1.numerators)} lifted frequencies"
             checks += [
-                (
-                    f"orthogonality of {len(lambda1.numerators)} lifted frequencies "
-                    f"({ortho.pairs} pairs)",
-                    ortho.valid,
-                    "verify_ortho_lattice",
-                ),
+                (f"{what} ({ortho.pairs} pairs)", ortho.valid, "verify_ortho_lattice"),
                 ("cell counts (6 points per aligned cell)", cells, "cell_count_check"),
             ]
-            payload.update(
-                points=len(omega1.points),
-                pairs=ortho.pairs,
-                obstruction=obstruction.to_json() if obstruction else None,
-            )
+            payload.update(points=size, pairs=ortho.pairs)
+            payload["obstruction"] = obstruction.to_json() if obstruction else None
         else:
             from . import continuum
 
@@ -123,8 +124,7 @@ def cmd_counterexample(args) -> tuple[bool, dict, list[str]]:
             )
             payload.update(
                 k_radius=args.k_radius,
-                # Omega_2 has one unit cube per lifted point, all distinct.
-                measure=len(omega1.base) * omega1.m**omega1.dimension,
+                measure=size,
                 pairs_checked=result.pairs_checked,
                 sampled=result.sampled,
             )

@@ -22,7 +22,8 @@ import numpy as np
 
 from .cyclotomic import vanishing
 from .groups import integer_rows
-from .lattice import FrequencySet, LatticeSet, Point, character_sum_lattice, int64_rows
+from .lattice import FrequencySet, LatticeSet, Point, _geometric_zeros
+from .lattice import character_sum_lattice, int64_rows
 
 Pairs = Iterator[tuple[np.ndarray, np.ndarray]]  # blocks of index pairs (i, j)
 _BLOCK = 1 << 12  # pairs decided per numpy block, rows per export block
@@ -121,9 +122,7 @@ def verify_spectrum_truncation(
     count = len(nums) * (per := side[0] ** n)
     sampled = count * (count - 1) // 2 > pair_budget
     blocks = _sampled_pairs(count, pair_budget, 0) if sampled else _all_pairs(count)
-    # sum_{j<M} w^(3rj), w = exp(2 pi i / denom), vanishes iff w^(3r) != 1 = w^(3rM).
-    r = np.arange(denom)
-    geometric = (3 * r % denom != 0) & (3 * r * omega1.m % denom == 0)
+    geometric = _geometric_zeros(denom, omega1.m)
     cell, checked = LatticeSet(omega1.base, 1), 0
     for i, j in blocks:
         # Drawn pairs are unordered; the difference is taken from the lower index.

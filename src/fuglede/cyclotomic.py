@@ -4,7 +4,7 @@ A value is stored as a length-m integer coefficient vector c with
 value = sum_k c[k] * omega_m^k, omega_m = e^{2*pi*i/m}.  Every zero test
 reduces modulo the m-th cyclotomic polynomial by `reduction_matrix`, its one
 source: in the batched kernel `vanishing`, fed root counts by `_root_counts`,
-in the lattice verdict table's axis steps and in the scan's `chars` matrix.
+and in the scan's `chars` matrix.
 The exponents d . x of `_root_counts` come from a float32 BLAS product whose
 every value is an integer in [0, 2^24], where float32 is exact.
 """

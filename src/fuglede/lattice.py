@@ -4,10 +4,14 @@ The lifted set is the union over k in [0,M)^n of 3k + base, where the base
 points live in {0,1,2}^n and are carried into Z^n coordinatewise (the
 identification is deliberately not a homomorphism: no reduction mod 3 ever
 happens on lattice points).  Its candidate spectrum consists of rational
-frequencies (l + M*xi)/(3M) mod 1.  Orthogonality of every frequency pair
-is decided exactly with order-3M cyclotomic integers; a factorized fast
-path (the geometric sum over k kills every pair with distinct l parts) is
-available as an independent route to the same verdicts.
+frequencies (l + M*xi)/(3M) mod 1.  The character sum of the lift at a
+difference d is a product: one geometric sum over the cell index per axis,
+times the sum over the base cell.  So the differences where it does not
+vanish lie in {0, M, 2M}^n for the denominator 3M, one exact order-3M zero
+test over the base points decides them, and the certificate looks every
+frequency pair up against that set without building a lattice point.  The
+per-pair `pair_verdicts_factored` (the Fourier zero set of the base in
+Z_3^n) is an independent route to the same verdicts.
 """
 
 from __future__ import annotations
@@ -21,13 +25,13 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .cyclotomic import _EXACT, MAX_ORDER, _root_counts, reduction_matrix
+from .cyclotomic import MAX_ORDER, _root_counts, vanishing_sums
 from .groups import GroupSpec
 from .spectra import fourier_zero_set
 from .tiling import DivisibilityObstruction
 
 Point = tuple[int, ...]
-TABLE_BUDGET = 1 << 28  # bytes for the verdict table; admits the lifts up to M = 8
+TABLE_BUDGET = 1 << 28  # bytes for the certificate's rows and membership table
 
 
 @dataclass(frozen=True)
@@ -117,69 +121,48 @@ def build_lambda1(base_spec: Iterable[Point], m_scale: int) -> FrequencySet:
     numerators, since l = v mod M and xi = v // M."""
     xi = np.array(_checked_base(base_spec, "base spectrum"), dtype=np.int64)
     nums = _lift(m_scale * xi, m_scale, 1)
-    return FrequencySet(3 * m_scale, nums[np.lexsort(nums.T[::-1])])
+    nums = nums[np.lexsort(nums.T[::-1])]  # frees the unsorted rows
+    return FrequencySet(3 * m_scale, nums)
 
 
-def check_table_budget(denom: int, n: int) -> None:
-    """ValueError unless the zero test has order denom and the table over
-    Z_denom^n fits TABLE_BUDGET: 32 bytes per code bound its counts, verdicts
-    and block buffers of phi <= denom terms, plus 4 denom^4 for the (denom phi)^2 matrix."""
+def _geometric_zeros(denom: int, m_scale: int) -> np.ndarray:
+    """Per residue r mod denom, whether sum_{j<M} w^(3rj), w = exp(2 pi i /
+    denom), vanishes: iff w^(3r) != 1 = w^(3rM)."""
+    r = np.arange(denom)
+    return (3 * r % denom != 0) & (3 * r * m_scale % denom == 0)
+
+
+def _nonvanishing_codes(omega1: LatticeSet, denom: int) -> np.ndarray:
+    """Sorted codes (`_codes`) of the set B of d in Z_denom^n where the sum
+    over omega1 does not vanish, d = 0 (#points) first.  The sum is the
+    product of one geometric sum over the cell index per axis and the sum
+    C(d) over the base, so B is the d in L^n, L the residues of no geometric
+    zero, with C(d) != 0: one `vanishing_sums` call over the base, on the
+    3^n candidates {0, M, 2M}^n when denom = 3M.  ValueError for an order
+    the kernel refuses, or if two int64 copies of the candidates and
+    `_paired_rows`' table over Z_denom^n pass TABLE_BUDGET."""
     if not 1 <= denom <= MAX_ORDER:
         raise ValueError(f"unsupported root order {denom}")
-    if (need := 32 * denom**n + 4 * denom**4) > TABLE_BUDGET:
-        raise ValueError(
-            f"verdict table over Z_{denom}^{n} needs about {need >> 20} MiB, "
-            f"beyond its {TABLE_BUDGET >> 20} MiB budget"
-        )
-
-
-def _vanishing_table(omega1: LatticeSet, denom: int) -> np.ndarray:
-    """Whether the character sum over omega1.points vanishes at d, for every
-    d in Z_denom^n, as a bool array indexed by the code of d (`_codes`).
-
-    The sums are the n-dimensional DFT of the points' counts mod denom, taken
-    exactly in Z[omega] = Z[x]/Phi_denom(x) in the basis 1, ..., omega^(phi-1)
-    one axis at a time (the row-column scheme of I. J. Good, JRSS B 20, 1958):
-    with R = `reduction_matrix(denom)`, an axis step is one float32 product
-    with S[(x, f), (d, e)] = R[(f + d x) mod denom, e], exact as R's entries
-    lie in {-1, 0, 1}, so every partial sum is at most phi #points < 2^24.
-    One d_0 at a time, the x_0 axis takes the rows R[d_0 x mod denom], the
-    others use two reused buffers; a sum vanishes iff all its phi terms do.
-    """
-    n = omega1.dimension
-    check_table_budget(denom, n)
-    r, points = reduction_matrix(denom), omega1.points
-    if (phi := r.shape[1]) * len(points) >= _EXACT:
-        raise ValueError(f"{len(points)} points: sums beyond float32's exact integers")
-    m, size, x = denom, denom**n, np.arange(denom)
-    rest, rows = size // m, size // m // m  # codes per d_0 block; rows per step
-    step = r[(np.arange(phi)[:, None] + np.outer(x, x)[:, None]) % m].astype(np.float32)
-    counts = np.zeros(size, dtype=np.float32)  # exact: each count < 2^24
-    np.add.at(counts, np.ravel_multi_index((points % m).T, (m,) * n), 1)
-    counts = counts.reshape(m, rest).T  # [x_1..x_{n-1}, x_0]
-    a, b = np.empty(rest * phi, dtype=np.float32), np.empty(rest * phi, dtype=np.float32)
-    out = np.empty((m, rest), dtype=bool)
-    for d0 in range(m):
-        np.matmul(counts, step[:, 0, d0], out=a.reshape(rest, phi))
-        for _ in range(n - 1):  # a is [x_k, ..., x_{n-1}, d_1, ..., d_{k-1}, e]
-            np.copyto(b.reshape(rows, m, phi), a.reshape(m, rows, phi).transpose(1, 0, 2))
-            np.matmul(b.reshape(rows, -1), step.reshape(m * phi, -1), out=a.reshape(rows, -1))
-        out[d0] = ~a.reshape(rest, phi).any(axis=1)
-    return out.reshape(size)
+    n, live = omega1.dimension, np.flatnonzero(~_geometric_zeros(denom, omega1.m))
+    if (need := denom**n + 16 * n * len(live) ** n) > TABLE_BUDGET:
+        raise ValueError(f"Z_{denom}^{n} needs {need >> 20} MiB, beyond the budget")
+    candidates = live[np.indices((len(live),) * n).reshape(n, -1).T]
+    keep = ~vanishing_sums(np.array(omega1.base), candidates, denom)
+    return _codes(candidates[keep], denom)
 
 
 def _codes(rows: np.ndarray, denom: int) -> np.ndarray:
-    """The table code of each integer row mod denom (row-major digits)."""
+    """The code of each integer row mod denom (row-major digits)."""
     return np.ravel_multi_index(rows.T, (denom,) * rows.shape[1], mode="wrap")
 
 
 def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
-    """The verdict of every frequency pair, in itertools.combinations order,
-    gathered from the table; for the cross-check with the factored route."""
+    """The verdict of every frequency pair, in itertools.combinations order:
+    whether its difference lies outside B; for the tests' cross-checks."""
     denom, nums = lambda1.denominator, lambda1.rows(omega1.dimension)
-    table = _vanishing_table(omega1, denom)
-    i, j = np.triu_indices(len(nums), 1)
-    return table[_codes(nums[j] - nums[i], denom)] if len(i) else np.zeros(0, bool)
+    bad, (i, j) = _nonvanishing_codes(omega1, denom), np.triu_indices(len(nums), 1)
+    codes = _codes(nums[j] - nums[i], denom) if len(i) else i  # (0, 0): no pairs
+    return ~np.isin(codes, bad)
 
 
 def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
@@ -200,29 +183,48 @@ def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndar
 
 def verify_ortho_lattice(omega1: LatticeSet, lambda1: FrequencySet) -> OrthoResult:
     """Valid iff every distinct frequency pair has vanishing character sum
-    over omega1, read off the table of all differences.  The nonvanishing
-    codes B are closed under d -> -d, so a row is in a failing pair iff its
-    numerator plus some b in B is another row's (|B| x count lookups); the
-    first such row holds the witness, the first failing pair in
-    combinations order, and only it is read.  For |B| >= count / 2 the rows
-    are walked from the first.  The tests check the verdicts against
-    `pair_verdicts_factored`."""
+    over omega1, i.e. no difference lies in B (`_nonvanishing_codes`).  B
+    is closed under d -> -d, so a row is in a failing pair iff it repeats
+    another row or its numerator plus some b != 0 in B is another row's
+    (`_paired_rows`); the first such row holds the witness, the first
+    failing pair in combinations order, and only it is read.  For
+    |B| >= count / 2 the rows are walked from the first.  The tests check
+    the verdicts against `pair_verdicts_factored` and a dense table."""
     denom, nums = lambda1.denominator, lambda1.rows(omega1.dimension)
-    table, count = _vanishing_table(omega1, denom), len(nums)
+    bad, count = _nonvanishing_codes(omega1, denom), len(nums)
     rows: Iterable[int] = range(count - 1)
-    if 2 * len(bad := np.flatnonzero(~table)) < count:
-        present = np.bincount(_codes(nums, denom), minlength=len(table))
-        hit = np.zeros(count, dtype=bool)
-        digits = np.column_stack(np.unravel_index(bad, (denom,) * nums.shape[1]))
-        for code, b in zip(bad, digits):
-            hit |= present[_codes(nums + b, denom)] > (code == 0)  # 0: a repeat
-        rows = np.flatnonzero(hit)[:1]
+    if 2 * len(bad) < count:
+        rows = np.flatnonzero(_paired_rows(nums, bad, denom))[:1]
     for i in rows:
-        row = table[_codes(nums[i + 1 :] - nums[i], denom)]
-        if not row.all():
-            witness = nums[[i, i + 1 + int(np.argmin(row))]].tolist()
+        codes = _codes(nums[i + 1 :] - nums[i], denom)
+        row = bad.take(np.searchsorted(bad, codes), mode="clip") == codes
+        if row.any():
+            witness = nums[[i, i + 1 + int(np.argmax(row))]].tolist()
             return OrthoResult(False, tuple(map(tuple, witness)), comb(count, 2))
     return OrthoResult(True, pairs=comb(count, 2))
+
+
+def _paired_rows(nums: np.ndarray, bad: np.ndarray, denom: int) -> np.ndarray:
+    """Per row x, whether x + b is a row for some b in B (sorted, so b = 0
+    first): for b = 0 the first of two equal sorted codes, else a gather
+    from a bool membership table over Z_denom^n.  The code of x + b is
+    T_b[hi(x)] + U_b[lo(x)]: hi and lo are the first h = n // 2 digits of
+    x's code and the rest, and T_b, U_b the codes of all such digits plus
+    b's, outer sums of one wrapped stride table per axis."""
+    codes, n, h = _codes(nums, denom), nums.shape[1], nums.shape[1] // 2
+    present = np.zeros(denom**n, dtype=bool)
+    present[codes] = True
+    order = np.argsort(codes, kind="stable")
+    hit = np.zeros(len(nums), dtype=bool)
+    hit[order[:-1][codes[order[1:]] == codes[order[:-1]]]] = True
+    high, low = np.divmod(codes, denom ** (n - h))
+    del codes, order
+    wrapped = np.arange(2 * denom) % denom * denom ** np.arange(n - 1, -1, -1)[:, None]
+    for b in np.column_stack(np.unravel_index(bad[1:], (denom,) * n)):
+        parts = [wrapped[k, b[k] : b[k] + denom] for k in range(n)]
+        t, u = (np.ravel(reduce(np.add.outer, s, 0)) for s in (parts[:h], parts[h:]))
+        hit |= present[t[high] + u[low]]
+    return hit
 
 
 def character_sum_lattice(omega1: LatticeSet, deltas, denom: int) -> np.ndarray:
@@ -235,13 +237,11 @@ def character_sum_lattice(omega1: LatticeSet, deltas, denom: int) -> np.ndarray:
 
 def cell_count_check(omega1: LatticeSet) -> bool:
     """Every aligned cell 3k + {0,1,2}^n, k in [0,M)^n, must hold exactly
-    #base points, counted from the points one axis at a time (no full copy)."""
-    pts, m = omega1.points, omega1.m
-    if pts.min() < 0 or pts.max() >= 3 * m:
-        return False
-    cells = reduce(lambda index, column: index * m + column // 3, pts.T, 0)
-    per_cell = np.bincount(cells, minlength=m**omega1.dimension)
-    return bool((per_cell == len(omega1.base)).all())
+    #base points.  The lift puts 3k + b in cell k for b in {0,1,2}^n, and a
+    point b outside that range out of the box on some axis, so this holds
+    iff the base points are distinct and lie in {0,1,2}^n."""
+    base = omega1.base
+    return len(set(base)) == len(base) and all(0 <= c <= 2 for b in base for c in b)
 
 
 class DensityReport(NamedTuple):

@@ -217,7 +217,7 @@ def test_verify_tiling_witness(capsys, group, complement, witness):
 @pytest.mark.parametrize(
     "stage,argv",
     [
-        ("_vanishing_table", ["counterexample", "lattice", "--m", "1"]),
+        ("build_lambda1", ["counterexample", "lattice", "--m", "1"]),
         ("_lift", ["export", "--m", "1", "--out", "unused.json"]),
     ],
 )
@@ -242,23 +242,34 @@ def test_out_of_memory_is_bad_input(capsys, monkeypatch, tmp_path, stage, argv):
 
 
 def test_lattice_scale_past_the_table_budget_exits_at_once(capsys, monkeypatch):
-    """--m 9 needs a verdict table over Z_27^5 beyond the budget: exit 2
-    before a point, a frequency or the table is built.  --m 8 is admitted."""
-    from fuglede import lattice
+    """From --m 13 the frequency rows, their copies and the membership table
+    over Z_3M^5 would pass the budget: exit 2 in under 1 s, before a point
+    or a frequency is built.  --m 12 gets past the guard."""
+    built = []
 
-    def unusable(*args, **kwargs):
-        raise AssertionError("built before the scale guard")
+    def stop(base, m):
+        built.append(m)
+        raise MemoryError("stopped after the scale guard")
 
-    for name in ("build_omega1", "build_lambda1", "_vanishing_table"):
-        monkeypatch.setattr(lattice, name, unusable)
-    argv = ["counterexample", "lattice", "--m", "9"]
-    message = "verdict table over Z_27^5 needs about 439 MiB, beyond its 256 MiB budget"
-    code, out = run(capsys, "--json", *argv)
-    assert code == 2 and json.loads(out) == {"error": message}
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"
-    lattice.check_table_budget(24, 5)
+    for name in ("build_omega1", "build_lambda1"):
+        monkeypatch.setattr(lattice, name, stop)
+    for m, need in ((13, 290), (16, 819), (21, 3189)):
+        argv = ["counterexample", "lattice", "--m", str(m)]
+        message = (
+            f"--m {m}: the lattice certificate needs about {need} MiB, "
+            "beyond its 256 MiB budget"
+        )
+        start = time.perf_counter()
+        code, out = run(capsys, "--json", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and json.loads(out) == {"error": message}
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"
+    assert built == []
+    code, out = run(capsys, "--json", "counterexample", "lattice", "--m", "12")
+    assert code == 2 and json.loads(out) == {"error": "stopped after the scale guard"}
+    assert built == [12]
 
 
 def test_corrupted_matrix_fails(capsys, tmp_path):
@@ -660,6 +671,19 @@ def test_continuum_builds_no_point_set_of_the_lift(capsys, monkeypatch):
 
     monkeypatch.setattr(lattice.LatticeSet, "points", property(points))
     command = "counterexample continuum --m 2 --k-radius 1 --pair-budget 100000"
+    code, out = run(capsys, "--json", *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_lattice_builds_no_point_set_of_the_lift(capsys, monkeypatch):
+    # B comes from the base alone, the cell counts and `points` from
+    # (base, M): no LatticeSet has its points read.
+    def points(self):
+        raise AssertionError(f"point set of the lift at M = {self.m}")
+
+    monkeypatch.setattr(lattice.LatticeSet, "points", property(points))
+    command = "counterexample lattice --m 3"
     code, out = run(capsys, "--json", *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]

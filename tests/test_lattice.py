@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fuglede import cyclotomic, lattice
 from fuglede.cyclotomic import CyclotomicInt, vanishing
 from fuglede.hadamard import descend, paper_h6, spectrum_from_butson
@@ -26,7 +27,13 @@ from fuglede.lattice import (
     verify_ortho_lattice,
 )
 from fuglede.spectra import is_spectrum
-from oracles import _window_counts, window_count
+from oracles import (
+    _window_counts,
+    counted_cells,
+    table_pair_verdicts,
+    vanishing_table,
+    window_count,
+)
 
 
 def as_tuples(points):
@@ -190,6 +197,17 @@ def test_direct_rejects_order_above_max_before_allocating(z3_5_pair):
     assert "points" not in vars(o1)
 
 
+def test_candidates_past_the_budget_are_refused_before_allocating():
+    # At M = 1 no geometric factor vanishes, so all 40^5 differences are
+    # candidates: refused, as the dense table over Z_40^5 would be.
+    o1 = build_omega1([(0,) * 5, (1,) * 5], 1)
+    two = FrequencySet(40, ((0,) * 5, (1,) * 5))
+    for route in (verify_ortho_lattice, pair_verdicts_direct):
+        with pytest.raises(ValueError, match=r"Z_40\^5 needs 7910 MiB, beyond the"):
+            route(o1, two)
+    assert "points" not in vars(o1)
+
+
 @pytest.mark.parametrize("width", [3, 6])
 @pytest.mark.parametrize(
     "route", [verify_ortho_lattice, pair_verdicts_direct, pair_verdicts_factored]
@@ -203,9 +221,9 @@ def test_frequency_rows_must_match_the_dimension(z3_5_pair, width, route):
 
 
 def test_direct_zero_tests_every_code_once(z3_5_pair, monkeypatch):
-    """The table decides its sums in Z[omega] itself: neither lattice route
-    calls `vanishing`, every one of the 6^5 differences in Z_6^5 gets a
-    verdict, and 213 of them, d = 0 among them, have a nonvanishing sum."""
+    """Each lattice route makes one `vanishing` call, on the 3^5 = 243
+    candidates {0, M, 2M}^5 of Z_6^5 where no geometric factor vanishes;
+    213 of them, d = 0 among them, have a nonvanishing sum."""
     T5, L5 = z3_5_pair
     o1 = build_omega1(T5, 2)
     l1 = build_lambda1(L5, 2)
@@ -218,11 +236,11 @@ def test_direct_zero_tests_every_code_once(z3_5_pair, monkeypatch):
     monkeypatch.setattr(cyclotomic, "vanishing", counting_vanishing)
     assert not hasattr(lattice, "vanishing")
     verdicts = pair_verdicts_direct(o1, l1)
-    assert len(verdicts) == 18336 and verdicts.all()
-    assert verify_ortho_lattice(o1, l1).valid
-    table = lattice._vanishing_table(o1, 6)
-    assert rows == []
-    assert table.shape == (6**5,) and (~table).sum() == 213 and not table[0]
+    assert len(verdicts) == 18336 and verdicts.all() and rows == [243]
+    assert verify_ortho_lattice(o1, l1).valid and rows == [243, 243]
+    bad = lattice._nonvanishing_codes(o1, 6)
+    assert len(bad) == 213 and bad[0] == 0
+    assert np.array_equal(bad, np.flatnonzero(~vanishing_table(o1, 6)))
 
 
 def test_table_guard_counts_phi_terms_per_point(monkeypatch):
@@ -232,19 +250,29 @@ def test_table_guard_counts_phi_terms_per_point(monkeypatch):
     o1 = build_omega1([(0, 0), (1, 2), (2, 1)], 2)  # 12 points
     phi = cyclotomic.reduction_matrix(15).shape[1]
     assert phi == 8
-    expected = lattice._vanishing_table(o1, 15)
-    monkeypatch.setattr(lattice, "_EXACT", phi * 12)
+    expected = vanishing_table(o1, 15)
+    monkeypatch.setattr(oracles, "_EXACT", phi * 12)
     with pytest.raises(ValueError, match="beyond float32's exact integers"):
-        lattice._vanishing_table(o1, 15)
-    monkeypatch.setattr(lattice, "_EXACT", phi * 12 + 1)
-    assert lattice._vanishing_table(o1, 15).tolist() == expected.tolist()
+        vanishing_table(o1, 15)
+    monkeypatch.setattr(oracles, "_EXACT", phi * 12 + 1)
+    assert vanishing_table(o1, 15).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_nonvanishing_codes_are_213_at_every_scale(z3_5_pair, m):
     T5, _ = z3_5_pair
-    table = lattice._vanishing_table(build_omega1(T5, m), 3 * m)
+    table = vanishing_table(build_omega1(T5, m), 3 * m)
     assert table.shape == ((3 * m) ** 5,) and (~table).sum() == 213
+
+
+def test_factorization_gives_213_codes_at_every_scale_the_command_admits(z3_5_pair):
+    # C(M e) over the base does not depend on M, so neither does |B|.
+    T5, _ = z3_5_pair
+    for m in range(1, 9):
+        bad = lattice._nonvanishing_codes(build_omega1(T5, m), 3 * m)
+        assert len(bad) == 213 and bad[0] == 0
+        digits = np.column_stack(np.unravel_index(bad, (3 * m,) * 5))
+        assert not (digits % m).any()  # inside {0, M, 2M}^5
 
 
 def test_witness_from_the_code_lookups_at_m3(z3_5_pair):
@@ -326,6 +354,55 @@ def test_direct_matches_per_pair_sums_and_factored(sets):
         assert result.witness == pairs[int(np.argmin(reference))]
 
 
+@st.composite
+def lifted_sets_any_denominator(draw):
+    """A lifted set with n <= 3 and M <= 4 and frequencies from build_lambda1
+    over the denominator 3M or any of 1..40 (the rows reduced mod it), as
+    built, with rows shifted, with a row repeated, or cut to 0 or 1 rows:
+    large enough for the |B| x count lookups, and with other denominators,
+    where the residues of a geometric zero are not the multiples of M."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cube = list(itertools.product(range(3), repeat=n))
+    axis = st.lists(st.sampled_from(range(3)), min_size=1, unique=True)
+    base = draw(
+        st.one_of(
+            st.lists(st.sampled_from(cube), min_size=1, unique=True),
+            st.tuples(*[axis] * n).map(lambda f: list(itertools.product(*f))),
+        )
+    )
+    spec = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=4, unique=True))
+    denom = draw(st.one_of(st.just(3 * m), st.integers(1, 40)))
+    nums = (build_lambda1(spec, m).numerators % denom).tolist()
+    kind = draw(st.sampled_from(["built", "shifted", "repeated", "cut"]))
+    if kind == "shifted":
+        shift = [draw(st.integers(0, denom - 1)) for _ in range(n)]
+        for i in draw(st.lists(st.integers(0, len(nums) - 1), unique=True)):
+            nums[i] = [(a + s) % denom for a, s in zip(nums[i], shift)]
+    elif kind == "repeated":
+        copy = nums[draw(st.integers(0, len(nums) - 1))]
+        nums.insert(draw(st.integers(0, len(nums))), copy)
+    elif kind == "cut":
+        nums = nums[: draw(st.integers(0, 1))]
+    return build_omega1(base, m), FrequencySet(denom, nums)
+
+
+@settings(deadline=None)
+@given(lifted_sets_any_denominator())
+def test_factorized_routes_match_the_dense_table(sets):
+    """Both routes that read B from the factorization agree with the oracle
+    table over every point: the pair verdicts, and the certificate's verdict,
+    pair count and witness (the first failing pair in combinations order)."""
+    o1, l1 = sets
+    reference = table_pair_verdicts(o1, l1)
+    assert np.array_equal(pair_verdicts_direct(o1, l1), reference)
+    result = verify_ortho_lattice(o1, l1)
+    assert result.valid == bool(reference.all()) and result.pairs == len(reference)
+    if not result.valid:
+        i, j = (int(k[np.argmin(reference)]) for k in np.triu_indices(len(l1.numerators), 1))
+        nums = list(map(tuple, l1.numerators.tolist()))
+        assert result.witness == (nums[i], nums[j])
+
+
 def _axis_sets(denom):
     """Integer sets on one axis, among them progressions of step denom/p
     for the primes p | denom, whose sums vanish at many frequencies."""
@@ -365,14 +442,15 @@ def corrupted_lattice_sets(draw):
 @settings(deadline=None)
 @given(corrupted_lattice_sets())
 def test_direct_matches_per_pair_sums_on_corrupted_points(sets):
-    """The table holds for any integer point set, not only lifts,
-    where the factored route cannot serve as the check."""
+    """The oracle table that the direct routes are checked against holds for
+    any integer point set, not only lifts, where the factored route cannot
+    serve as the check."""
     o1, l1 = sets
     reference = [
         scalar_sum(o1, tuple(np.subtract(nj, ni)), l1.denominator).is_zero()
         for ni, nj in itertools.combinations(l1.numerators, 2)
     ]
-    assert pair_verdicts_direct(o1, l1).tolist() == reference
+    assert table_pair_verdicts(o1, l1).tolist() == reference
 
 
 @st.composite
@@ -402,7 +480,7 @@ def test_table_matches_vanishing_sums_at_every_difference(case):
     code order."""
     o1, m = case
     every = np.indices((m,) * o1.dimension).reshape(o1.dimension, -1).T
-    table = lattice._vanishing_table(o1, m)
+    table = vanishing_table(o1, m)
     assert table.dtype == bool
     assert table.tolist() == cyclotomic.vanishing_sums(o1.points, every, m).tolist()
 
@@ -446,12 +524,27 @@ def _moved_out(points):
 def test_cell_count_detects_deletion(z3_5_pair, corrupt):
     T5, _ = z3_5_pair
     o1 = build_omega1(T5, 2)
-    assert cell_count_check(o1)
+    assert cell_count_check(o1) and counted_cells(o1)
     with pytest.raises(ValueError):
         o1.points[0, 0] = 1
-    # The check counts the points, not (base, M): corrupt the cached points.
+    # The oracle counts the points, not (base, M): corrupt the cached points.
     vars(o1)["points"] = corrupt(o1.points)
-    assert not cell_count_check(o1)
+    assert not counted_cells(o1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize(
+    "base",
+    [[(0, 0), (1, 2)], [(0, 0), (3, 1)], [(0, 0), (-1, 2)], [(0, 1), (2, 2), (0, 1)]],
+    ids=["inside", "past-2", "negative", "repeated"],
+)
+def test_cell_count_from_the_base_of_a_direct_lattice_set(base, m):
+    # LatticeSet skips build_omega1's checks: a base point outside {0,1,2}^n
+    # leaves the box or lands in another cell, and a repeat is one point.
+    o1 = lattice.LatticeSet(tuple(base), m)
+    distinct = len(set(base)) == len(base)
+    assert cell_count_check(o1) == (base == [(0, 0), (1, 2)])
+    assert cell_count_check(o1) == (counted_cells(o1) and distinct)
 
 
 def test_window_counts(z3_5_pair):
