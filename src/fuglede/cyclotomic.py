@@ -5,21 +5,18 @@ value = sum_k c[k] * omega_m^k, omega_m = e^{2*pi*i/m}.  Every zero test
 reduces modulo the m-th cyclotomic polynomial by `reduction_matrix`, its one
 source: in the batched kernel `vanishing`, fed root counts by `_root_counts`,
 and in the scan's `chars` matrix.
-The exponents d . x of `_root_counts` come from a float32 BLAS product whose
-every value is an integer in [0, 2^24], where float32 is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 MAX_ORDER = 64
-_BATCH = 1 << 16  # product entries and bins per chunk in _root_counts; <= _EXACT
-_EXACT = 1 << 24  # float32 holds every integer in [0, 2^24] exactly
+_BATCH = 1 << 16  # product entries and bins per chunk in _root_counts
 
 
 def _divisors(m: int) -> list[int]:
@@ -92,53 +89,36 @@ def vanishing(counts) -> np.ndarray:
 
 def vanishing_sums(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray:
     """Per row d of deltas, whether sum over rows x of the integer points of
-    omega_m ** (d . x) vanishes: `vanishing` on each chunk of `_root_counts`."""
-    out = [vanishing(counts) for counts in _root_counts(points, deltas, m)]
-    return np.concatenate(out) if out else np.zeros(0, dtype=bool)
+    omega_m ** (d . x) vanishes: `vanishing` applied to `_root_counts`."""
+    counts = _root_counts(points, deltas, m)
+    return vanishing(counts) if len(counts) else np.zeros(0, dtype=bool)
 
 
-def _root_counts(points: np.ndarray, deltas: np.ndarray, m: int) -> Iterator[np.ndarray]:
-    """Per chunk of consecutive rows d of deltas, the (k, m) int64 root
-    multiplicities of sum over rows x of the integer points of
-    omega_m ** (d . x): entry e of a row counts the x with d . x = e mod m.
+def _root_counts(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray:
+    """The (k, m) int64 root multiplicities of sum over rows x of the integer
+    points of omega_m ** (d . x), one row per row d of the (k, n) deltas:
+    entry e of a row counts the x with d . x = e mod m.
 
     omega_m ** (d . x) depends only on d and x mod m, so both are reduced
-    once; then every exponent d . x lies in [0, W) with
-    W = max(d) * max_x sum(x) + 1 rounded up to a multiple of m.  Row r of
-    a chunk gets the extra coordinate r * W against a column of ones, so one
-    float32 product gives each entry's bincount index r * W + d . x.  Every
-    partial sum of that product is a nonnegative integer below rows * W,
-    which a chunk keeps within float32's exact integers (2^24), so the
-    product is exact in any summation order.  One bincount per chunk, with
-    bins folded mod m, gives each row's root multiplicities.  A chunk holds
-    at most _BATCH product entries and _BATCH bins, or one row; ValueError
-    if a single row's W exceeds 2^24, or if points or deltas are not integer
-    arrays (a float entry may already be rounded).
+    before the cast to int64 (an unsigned entry would wrap otherwise), and
+    every product d . x is an int64 of at most n (m - 1)^2.  Per chunk, row
+    r's exponents mod m are offset by r * m, so one bincount gives the
+    chunk's counts.  A chunk holds at most _BATCH product entries and _BATCH
+    bins, or one row; ValueError if points or deltas are not integer arrays
+    (a float entry may already be rounded).
     """
     points, deltas = np.asarray(points), np.asarray(deltas)
     if not all(np.issubdtype(a.dtype, np.integer) for a in (points, deltas)):
         raise ValueError("points and deltas must be integer arrays")
-    points, deltas = points % m, deltas % m
-    width = int(deltas.max(initial=0)) * int(points.sum(axis=1).max(initial=0)) + 1
-    width = -(-width // m) * m
-    if width > _EXACT:
-        raise ValueError(f"exponent range {width} beyond float32's exact integers")
-    step = max(1, _BATCH // max(len(points), width))  # deltas per chunk
-    rows = min(step, len(deltas))
-    aug = np.ones((points.shape[1] + 1, len(points)), dtype=np.float32)
-    aug[:-1] = points.T
-    lhs = np.empty((rows, len(aug)), dtype=np.float32)
-    lhs[:, -1] = np.arange(0, rows * width, width)
-    exps = np.empty((rows, len(points)), dtype=np.float32)
-    index = np.empty(exps.shape, dtype=np.intp)
+    points, deltas = ((a % m).astype(np.int64) for a in (points, deltas))
+    step = max(1, _BATCH // max(len(points), m))  # deltas per chunk
+    counts = np.empty((len(deltas), m), dtype=np.int64)
     for lo in range(0, len(deltas), step):
-        chunk = deltas[lo : lo + step]
-        k = len(chunk)
-        lhs[:k, :-1] = chunk
-        np.matmul(lhs[:k], aug, out=exps[:k])
-        index[:k] = exps[:k]
-        counts = np.bincount(index[:k].ravel(), minlength=k * width)
-        yield counts.reshape(k, width // m, m).sum(axis=1)
+        exps = deltas[lo : lo + step] @ points.T % m
+        k = len(exps)
+        exps += np.arange(0, k * m, m)[:, None]
+        counts[lo : lo + k] = np.bincount(exps.ravel(), minlength=k * m).reshape(k, m)
+    return counts
 
 
 def first_nonvanishing_pair(points, rows, m: int) -> Optional[tuple[int, int]]:

@@ -230,9 +230,8 @@ def _paired_rows(nums: np.ndarray, bad: np.ndarray, denom: int) -> np.ndarray:
 def character_sum_lattice(omega1: LatticeSet, deltas, denom: int) -> np.ndarray:
     """sum over x in omega1 of omega_denom ** (d . x) for each row d of the
     (k, n) integer array deltas, exactly: the (k, denom) int64 root
-    multiplicities that `vanishing` decides, stacked from `_root_counts`."""
-    counts = list(_root_counts(omega1.points, deltas, denom))
-    return np.concatenate(counts) if counts else np.zeros((0, denom), dtype=np.int64)
+    multiplicities that `vanishing` decides, from `_root_counts`."""
+    return _root_counts(omega1.points, deltas, denom)
 
 
 def cell_count_check(omega1: LatticeSet) -> bool:

@@ -10,10 +10,12 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from fuglede import tiling
-from fuglede.cyclotomic import _EXACT, CyclotomicInt, reduction_matrix
+from fuglede.cyclotomic import CyclotomicInt, reduction_matrix
 from fuglede.groups import Element, GroupSpec
 from fuglede.lattice import FrequencySet, LatticeSet, Point
 from fuglede.spectra import ScanRecord, _class_blocks, _record, find_spectrum
+
+_EXACT = 1 << 24  # float32 holds every integer in [0, 2^24] exactly
 
 
 def to_complex(value: CyclotomicInt) -> complex:

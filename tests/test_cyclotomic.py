@@ -103,13 +103,36 @@ def test_order_limit():
         vanishing(np.zeros(MAX_ORDER + 1, dtype=np.int64))
     with pytest.raises(ValueError):
         CyclotomicInt(MAX_ORDER + 1, (0,) * (MAX_ORDER + 1)).is_zero()
+    # An empty batch has no order to check: is_spectrum asks for one with a
+    # single frequency, whatever the group's exponent.
+    points = np.zeros((2, 3), dtype=np.int64)
+    empty = vanishing_sums(points, np.zeros((0, 3), dtype=np.int64), 66)
+    assert empty.dtype == bool and empty.shape == (0,)
+    with pytest.raises(ValueError, match="unsupported root order 66"):
+        vanishing_sums(points, np.zeros((1, 3), dtype=np.int64), 66)
 
 
 def integer_rows(n, size):
-    """Up to size rows of n integers: small ones, and signed ones up to 2^62
-    in magnitude, whose products wrap int64 unless reduced first."""
-    entry = st.one_of(st.integers(0, 3), st.integers(-(2**62), 2**62))
-    return st.lists(st.tuples(*[entry] * n), max_size=size)
+    """Up to size rows of n integers: small ones, bytes, and either signed
+    ones up to 2^62 in magnitude or unsigned ones up to 2^64 - 1, whose
+    products wrap int64 (or uint8) unless reduced first."""
+    big = st.sampled_from([st.integers(-(2**62), 2**62), st.integers(0, 2**64 - 1)])
+    return big.flatmap(
+        lambda b: st.lists(
+            st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 255), b)] * n),
+            max_size=size,
+        )
+    )
+
+
+def integer_array(rows, n, wide):
+    """rows as a (k, n) array of the narrowest integer dtype holding them,
+    at least uint8, or of int64 (uint64 past 2^63) when wide."""
+    values = [v for row in rows for v in row]
+    dtype = np.result_type(np.uint8, *map(np.min_scalar_type, values))
+    if wide or dtype.kind == "f":  # negatives with entries >= 2^32 promote to float64
+        dtype = np.uint64 if max(values, default=0) >= 2**63 else np.int64
+    return np.array(rows, dtype=dtype).reshape(-1, n)
 
 
 def python_sums_vanish(points, deltas, m):
@@ -126,7 +149,7 @@ def python_sums_vanish(points, deltas, m):
 @given(
     m=st.sampled_from([1, 2, 3, 4, 6, 9, 12, 63, 64]),
     batch=st.integers(1, 1 << 14),
-    wide=st.booleans(),
+    wide=st.tuples(st.booleans(), st.booleans()),
     data=st.data(),
 )
 def test_vanishing_sums_matches_scalar_sums(m, batch, wide, data):
@@ -135,15 +158,9 @@ def test_vanishing_sums_matches_scalar_sums(m, batch, wide, data):
     n = data.draw(st.integers(1, 6))
     points = data.draw(integer_rows(n, 6))
     deltas = data.draw(integer_rows(n, 12))
-    values = [v for row in deltas for v in row]
-    dtype = np.result_type(np.uint8, *map(np.min_scalar_type, values))
-    if wide or dtype.kind == "f":  # negatives with entries >= 2^32 promote to float64
-        dtype = np.int64
     with mock.patch.object(cyclotomic, "_BATCH", batch):
         got = vanishing_sums(
-            np.array(points, dtype=np.int64).reshape(-1, n),
-            np.array(deltas, dtype=dtype).reshape(-1, n),
-            m,
+            integer_array(points, n, wide[0]), integer_array(deltas, n, wide[1]), m
         )
     assert got.dtype == bool and got.tolist() == python_sums_vanish(points, deltas, m)
 
@@ -158,13 +175,13 @@ def test_vanishing_sums_rejects_float_arrays():
         vanishing_sums(points.astype(float), np.array([[1]]), 3)
 
 
-def test_vanishing_sums_exact_up_to_float32_limit():
-    """Mod 63, with 62s in n columns an exponent reaches 62 * 62n.  For the
-    first and last delta the three points have exponents e, e - 1281 and
-    e - 2562, which are omega^e times the cube roots of unity: a vanishing
-    sum that rounding the odd gap 1281 would break.  Up to n = 4364 every
-    exponent stays below 2^24 and the sums are exact, each row chunked
-    alone; at n = 4365 the kernel refuses."""
+def test_vanishing_sums_exact_past_float32s_integers():
+    """Mod 63, with 62s in n columns an exponent reaches 62 * 62n, past
+    float32's exact integers (2^24) from n = 4365 on.  For the first and
+    last delta the three points have exponents e, e - 1281 and e - 2562,
+    which are omega^e times the cube roots of unity: a vanishing sum that
+    rounding the odd gap 1281 would break.  The verdicts stay exact at any
+    width."""
 
     def rows(n):
         points = np.full((3, n), 62, dtype=np.int64)
@@ -173,12 +190,11 @@ def test_vanishing_sums_exact_up_to_float32_limit():
         deltas[:, 0] = [61, 0, 61]
         return points, deltas
 
-    points, deltas = rows(4364)
-    expected = python_sums_vanish(points.tolist(), deltas.tolist(), 63)
-    assert expected == [True, False, True]
-    assert vanishing_sums(points, deltas, 63).tolist() == expected
-    with pytest.raises(ValueError, match="float32"):
-        vanishing_sums(*rows(4365), 63)
+    for n in (4364, 4365, 100_000):
+        points, deltas = rows(n)
+        expected = python_sums_vanish(points.tolist(), deltas.tolist(), 63)
+        assert expected == [True, False, True]
+        assert vanishing_sums(points, deltas, 63).tolist() == expected
 
 
 Z6 = GroupSpec.cyclic(6)

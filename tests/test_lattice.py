@@ -48,8 +48,9 @@ def count_points(points, lo, window):
 
 def scalar_sum(omega1, delta, denom):
     """The character sum over omega1 at one delta, its exponents summed in
-    int64 point by point: the per-pair oracle, which shares no code with the
-    float32 product behind `character_sum_lattice`."""
+    int64 point by point: the per-pair oracle for `character_sum_lattice`,
+    which stays independent of its chunks and their row offsets by taking one
+    delta at a time."""
     exps = omega1.points @ np.asarray(delta, dtype=np.int64) % denom
     return CyclotomicInt(denom, tuple(np.bincount(exps, minlength=denom).tolist()))
 
