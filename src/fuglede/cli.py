@@ -388,7 +388,7 @@ def main(argv=None) -> int:
         ok, payload, lines = args.func(args)
         print(_ENCODER.encode(payload) if args.json else "\n".join(lines))
         return 0 if ok else 1
-    except (spectra.SearchBudgetExceeded, tiling.CoverBudgetExceeded) as exc:
+    except tiling.BudgetExceeded as exc:
         code, error = 3, {"error": str(exc), "budget": exc.budget}
     except (ValueError, OSError, MemoryError) as exc:
         code, error = 2, {"error": str(exc)}

@@ -100,6 +100,7 @@ def _root_counts(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray:
     entry e of a row counts the x with d . x = e mod m.
 
     omega_m ** (d . x) depends only on d and x mod m, so both are reduced
+    by m as a Python int (uint64 % a NumPy integer is float64, which rounds)
     before the cast to int64 (an unsigned entry would wrap otherwise), and
     every product d . x is an int64 of at most n (m - 1)^2.  Per chunk, row
     r's exponents mod m are offset by r * m, so one bincount gives the
@@ -107,7 +108,7 @@ def _root_counts(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray:
     bins, or one row; ValueError if points or deltas are not integer arrays
     (a float entry may already be rounded).
     """
-    points, deltas = np.asarray(points), np.asarray(deltas)
+    points, deltas, m = np.asarray(points), np.asarray(deltas), int(m)
     if not all(np.issubdtype(a.dtype, np.integer) for a in (points, deltas)):
         raise ValueError("points and deltas must be integer arrays")
     points, deltas = ((a % m).astype(np.int64) for a in (points, deltas))

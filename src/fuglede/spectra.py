@@ -29,14 +29,6 @@ _MASK_BLOCK = 1 << 10  # masks per canonical test in _class_blocks
 _CLASS_BLOCK = 128
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """Search node budget `budget` exhausted before a definite verdict."""
-
-    def __init__(self, budget: int):
-        super().__init__(f"clique search exceeded {budget} nodes")
-        self.budget = budget
-
-
 class SpectrumVerification(NamedTuple):
     valid: bool
     witness: Optional[tuple[Element, Element]] = None
@@ -93,7 +85,7 @@ def find_spectrum(
         raise ValueError("T must be nonempty")
     if len(T) > MAX_SPECTRUM_SIZE:
         raise ValueError(f"set of size {len(T)} beyond search limit")
-    budget = tiling.resolve_node_budget()
+    budget = tiling.NODE_BUDGET
     need = len(T) - 1  # clique size besides 0
     if need == 0:
         return SpectrumSearch(True, (g.identity(),), 0)
@@ -120,7 +112,7 @@ def find_spectrum(
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise SearchBudgetExceeded(budget)
+            raise tiling.BudgetExceeded("clique", budget)
         if len(clique) == need:
             return True
         # Lowest position first; a tried candidate leaves the pool.
@@ -256,7 +248,6 @@ def scan_records(
     find_tiling; the rest get those functions' own results.
     """
     order, m = scan_order(g), g.exponent
-    budget = tiling.resolve_node_budget()  # a bad value fails before the first record
     # add[x, y]: the rank of (element x) + (element y); T's columns translate T.
     sums = (g.coords[:, None] + g.coords) % g.moduli
     add = g.ranks(sums.reshape(-1, g.ndim)).reshape(order, order)
@@ -279,10 +270,10 @@ def scan_records(
         search = (zeros.sum(axis=1) >= sizes - 1) & (sizes > 1)
         # The cover search dies at node 1 when some c outside T has c - T in
         # T - T: every translate covering c then meets T (cf. Coven-Meyerowitz,
-        # (A - A) & (B - B) = {0}).  With no node budget it must run and raise.
+        # (A - A) & (B - B) = {0}).
         diffs = (member[:, add] & member[:, None]).any(axis=2)  # T - T
         dead = ((diffs[:, sub] | ~member[:, None]).all(axis=2) > member).any(axis=1)
-        cover = (order % sizes == 0) & ~(dead & (budget > 0))
+        cover = (order % sizes == 0) & ~dead
         rows = zip(classes, member, zeros, *(a.tolist() for a in (sizes, search, cover)))
         for T, row, zero, size, searched, covered in rows:
             if searched:

@@ -9,32 +9,22 @@ arrays of element ranks; tuples appear only in results.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .groups import Element, GroupSpec
 
-DEFAULT_NODE_BUDGET = 10_000_000
+NODE_BUDGET = 10_000_000  # nodes per clique or cover search
 COVER_ORDER_LIMIT = 1 << 12  # the incidence matrix takes order^2 bytes
 
 
-class CoverBudgetExceeded(RuntimeError):
-    """Exact-cover node budget `budget` exhausted before a definite verdict."""
+class BudgetExceeded(RuntimeError):
+    """The clique or cover search ran past `budget` nodes before a verdict."""
 
-    def __init__(self, budget: int):
-        super().__init__(f"cover search exceeded {budget} nodes")
+    def __init__(self, search: str, budget: int):
+        super().__init__(f"{search} search exceeded {budget} nodes")
         self.budget = budget
-
-
-def resolve_node_budget() -> int:
-    """The search node budget: FUGLEDE_BUDGET if set, else the default.
-    A value that is not a non-negative integer raises ValueError."""
-    text = os.environ.get("FUGLEDE_BUDGET", str(DEFAULT_NODE_BUDGET))
-    if not text.strip().isdecimal():
-        raise ValueError(f"FUGLEDE_BUDGET must be a non-negative integer, got {text!r}")
-    return int(text)
 
 
 class DivisibilityObstruction(NamedTuple):
@@ -118,7 +108,7 @@ def find_tiling(
         return TilingResult(False, obstruction=obstruction)
     if g.order > COVER_ORDER_LIMIT:
         raise ValueError(f"group of order {g.order} beyond cover search")
-    budget = resolve_node_budget()
+    budget = NODE_BUDGET
 
     if translates is None:
         translates = _translates(g, T, np.arange(g.order))
@@ -139,7 +129,7 @@ def find_tiling(
         # translate meeting them dies.
         nodes += 1
         if nodes > budget:
-            raise CoverBudgetExceeded(budget)
+            raise BudgetExceeded("cover", budget)
         for c in cols[solution[-1]]:
             live &= ~colrows[c]
             uncovered &= ~(1 << c)

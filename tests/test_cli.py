@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fuglede
-from fuglede import continuum, lattice
+from fuglede import continuum, lattice, tiling
 from fuglede.cli import _finite_counterexample, main
 
 
@@ -320,18 +321,10 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
         ),
         (None, ["verify", "--matrix", "no_q.json"], 2, 'integer "q"'),
         (None, ["verify", "--matrix", "list.json"], 2, 'integer "q"'),
-        (
-            "-5",
-            ["scan", "4"],
-            2,
-            "FUGLEDE_BUDGET must be a non-negative integer, got '-5'",
-        ),
-        (
-            "abc",
-            ["scan", "4"],
-            2,
-            "FUGLEDE_BUDGET must be a non-negative integer, got 'abc'",
-        ),
+        # With no node budget the first search raises before any record: the
+        # cover search of {0}, the clique search of {0, 1, 2}.
+        ("0", ["scan", "4"], 3, "cover search exceeded 0 nodes"),
+        ("0", ["scan", "12", "--size", "3"], 3, "clique search exceeded 0 nodes"),
         (None, ["counterexample", "bogus"], 2, "invalid choice"),
         (None, ["scan", "5x5"], 2, "group of order 25 beyond subset enumeration"),
         (None, ["scan", "3x2^-1"], 2, "exponent of '2^-1' must be in 1..2^20"),
@@ -342,27 +335,14 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
         (None, ["scan", "2^200000"], 2, "group of order above 24 beyond subset"),
         (None, ["scan", "2^200000", "--size", "3"], 2, "group of order above 24"),
         (None, ["scan", "7" * 4400], 2, "(4400 characters) is not a decimal integer"),
-        # The group is checked before the budget; the budget is checked once,
-        # before the first record, even when no class reaches a search.
-        ("abc", ["scan", "25"], 2, "group of order 25 beyond subset enumeration"),
-        (
-            "abc",
-            ["scan", "5", "--size", "2"],
-            2,
-            "FUGLEDE_BUDGET must be a non-negative integer, got 'abc'",
-        ),
-        # With no node budget the first search raises before any record.
-        ("0", ["scan", "12", "--size", "3"], 3, "clique search exceeded 0 nodes"),
-        # The block can tell that this first class's cover search dies at its
-        # first node, yet with no budget that search still runs and raises.
-        ("0", ["scan", "2x6", "--size", "4"], 3, "cover search exceeded 0 nodes"),
+        (None, ["scan", "25", "--size", "2"], 2, "group of order 25 beyond subset"),
     ],
 )
 def test_failures_exit_cleanly_with_json(
     capsys, monkeypatch, tmp_path, budget, argv, code, fragment
 ):
     if budget is not None:
-        monkeypatch.setenv("FUGLEDE_BUDGET", budget)
+        monkeypatch.setattr(tiling, "NODE_BUDGET", int(budget))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "no_q.json").write_text('{"logs": [[0, 0], [0, 1]]}')
     (tmp_path / "list.json").write_text("[[0, 0], [0, 1]]")
@@ -374,10 +354,26 @@ def test_failures_exit_cleanly_with_json(
         assert error["budget"] == int(budget)
 
 
+def test_cover_search_dead_at_its_first_node_is_settled_in_the_block(
+    capsys, monkeypatch
+):
+    # The cover searches of the first two classes would die at node 1, so
+    # the block gives their records without running them, whatever the
+    # budget; at budget 0 the clique search of the third class runs out.
+    monkeypatch.setattr(tiling, "NODE_BUDGET", 0)
+    code, out = run(capsys, "--json", "scan", "2x6", "--size", "4")
+    assert code == 3
+    assert out.splitlines() == [
+        '{"set":[[0,0],[0,1],[0,2],[0,3]],"spectral":false,"tiles":false}',
+        '{"set":[[0,0],[0,1],[0,2],[0,4]],"spectral":false,"tiles":false}',
+        '{"budget": 0, "error": "clique search exceeded 0 nodes"}',
+    ]
+
+
 def test_budget_exhausted_mid_scan_keeps_the_printed_records(capsys, monkeypatch):
     argv = ["--json", "scan", "10", "--size", "4"]
     _, full = run(capsys, *argv)
-    monkeypatch.setenv("FUGLEDE_BUDGET", "1")
+    monkeypatch.setattr(tiling, "NODE_BUDGET", 1)
     code, out = run(capsys, *argv)
     assert code == 3
     lines = out.splitlines()
@@ -526,7 +522,7 @@ def test_human_failing_matrix_and_budget_are_pinned(capsys, monkeypatch, tmp_pat
     path.write_text(json.dumps(h))
     assert main(["verify", "--matrix", str(path)]) == 1
     assert capsys.readouterr() == ("rows (0, 1) are not orthogonal\n", "")
-    monkeypatch.setenv("FUGLEDE_BUDGET", "1")
+    monkeypatch.setattr(tiling, "NODE_BUDGET", 1)
     assert main(["scan", "4", "--size", "2"]) == 3
     assert capsys.readouterr() == ("", "error: clique search exceeded 1 nodes\n")
 
@@ -540,12 +536,12 @@ def test_export_file_bytes_are_pinned(capsys, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == golden
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, **environ: str) -> subprocess.CompletedProcess:
     """python with args in a fresh interpreter that imports fuglede from
-    this checkout."""
+    this checkout, with environ added to the environment."""
     src = str(Path(fuglede.__file__).parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, **environ, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env
     )
@@ -558,6 +554,32 @@ def test_optimized_run_keeps_the_pinned_bytes():
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     assert digest == GOLDEN_STDOUT[command]
+
+
+def test_the_environment_does_not_change_a_scan(monkeypatch):
+    # The node budget is the constant tiling.NODE_BUDGET, so a FUGLEDE_BUDGET
+    # variable, bad or zero, leaves the run as it is.
+    monkeypatch.delenv("FUGLEDE_BUDGET", raising=False)
+    argv = ("-m", "fuglede.cli", "--json", "scan", "8")
+    plain = run_python(*argv)
+    assert plain.returncode == 0, plain.stderr
+    for value in ("abc", "0"):
+        proc = run_python(*argv, FUGLEDE_BUDGET=value)
+        assert (proc.returncode, proc.stdout) == (0, plain.stdout), proc.stderr
+
+
+def test_no_module_reads_the_environment():
+    """--json output depends on argv alone: no module of the package reads
+    os.environ or os.getenv, by attribute or by import."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(fuglede.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.alias) and node.name in names
+    ]
+    assert reads == []
 
 
 def test_sampled_continuum_does_not_import_numpy_random():

@@ -150,19 +150,32 @@ def python_sums_vanish(points, deltas, m):
     m=st.sampled_from([1, 2, 3, 4, 6, 9, 12, 63, 64]),
     batch=st.integers(1, 1 << 14),
     wide=st.tuples(st.booleans(), st.booleans()),
+    order_type=st.sampled_from([int, np.int64, np.uint64]),
     data=st.data(),
 )
-def test_vanishing_sums_matches_scalar_sums(m, batch, wide, data):
+def test_vanishing_sums_matches_scalar_sums(m, batch, wide, order_type, data):
     """Every chunk size gives the exact verdict of each row, whatever the
-    sign, magnitude and integer dtype of the points and deltas."""
+    sign, magnitude and integer dtype of the points and deltas, and whether
+    the order is a Python or a NumPy integer."""
     n = data.draw(st.integers(1, 6))
     points = data.draw(integer_rows(n, 6))
     deltas = data.draw(integer_rows(n, 12))
     with mock.patch.object(cyclotomic, "_BATCH", batch):
         got = vanishing_sums(
-            integer_array(points, n, wide[0]), integer_array(deltas, n, wide[1]), m
+            integer_array(points, n, wide[0]),
+            integer_array(deltas, n, wide[1]),
+            order_type(m),
         )
     assert got.dtype == bool and got.tolist() == python_sums_vanish(points, deltas, m)
+
+
+def test_vanishing_sums_reduces_by_a_numpy_order_exactly():
+    # uint64 % np.int64 promotes to float64, which rounds 2^64 - 1 (0 mod 3)
+    # to 2^64 (1 mod 3): the sum 3 * omega^0 would read as 1 + omega + omega^2.
+    points = np.array([[0], [1], [2]], dtype=np.int64)
+    delta = np.array([[2**64 - 1]], dtype=np.uint64)
+    for order in (3, np.int64(3), np.uint64(3)):
+        assert vanishing_sums(points, delta, order).tolist() == [False]
 
 
 def test_vanishing_sums_rejects_float_arrays():

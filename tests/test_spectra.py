@@ -14,7 +14,6 @@ from fuglede.groups import GroupSpec
 from fuglede.hadamard import descend, paper_h6, paper_h12, spectrum_from_butson
 from fuglede import cyclotomic, spectra, tiling
 from fuglede.spectra import (
-    SearchBudgetExceeded,
     find_spectrum,
     fourier_zero_set,
     fuglede_scan,
@@ -115,8 +114,8 @@ def test_find_spectrum_roundtrip_z3_5():
 
 
 def test_find_spectrum_budget_exceeded_is_distinct(monkeypatch):
-    monkeypatch.setenv("FUGLEDE_BUDGET", "0")
-    with pytest.raises(SearchBudgetExceeded):
+    monkeypatch.setattr(tiling, "NODE_BUDGET", 0)
+    with pytest.raises(tiling.BudgetExceeded, match="clique"):
         find_spectrum(Z4, {(0,), (1,)})
 
 

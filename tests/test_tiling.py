@@ -3,15 +3,14 @@ import random
 
 import pytest
 
+from fuglede import tiling
 from fuglede.groups import GroupSpec
 from fuglede.tiling import (
     COVER_ORDER_LIMIT,
-    CoverBudgetExceeded,
     DivisibilityObstruction,
     cover_defect,
     divisibility_check,
     find_tiling,
-    resolve_node_budget,
 )
 from oracles import canonical_classes
 
@@ -123,10 +122,10 @@ def test_find_tiling_agrees_with_brute_force(moduli):
 
 
 def test_budget_exceeded_is_distinct(monkeypatch):
-    monkeypatch.setenv("FUGLEDE_BUDGET", "0")
+    monkeypatch.setattr(tiling, "NODE_BUDGET", 0)
     g = GroupSpec.cyclic(12)
     T = frozenset({(0,), (1,), (2,), (3,)})
-    with pytest.raises(CoverBudgetExceeded):
+    with pytest.raises(tiling.BudgetExceeded, match="cover"):
         find_tiling(g, T)
 
 
@@ -176,20 +175,12 @@ def test_budget_bounds_the_node_count(monkeypatch):
     T = frozenset({(0,), (1,), (2,), (3,)})
     nodes = find_tiling(g, T).nodes
     assert nodes == 3  # the translates at 0, 4 and 8
-    monkeypatch.setenv("FUGLEDE_BUDGET", str(nodes))
+    monkeypatch.setattr(tiling, "NODE_BUDGET", nodes)
     assert find_tiling(g, T).tiles
-    monkeypatch.setenv("FUGLEDE_BUDGET", str(nodes - 1))
-    with pytest.raises(CoverBudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
+    monkeypatch.setattr(tiling, "NODE_BUDGET", nodes - 1)
+    message = f"cover search exceeded {nodes - 1} nodes"
+    with pytest.raises(tiling.BudgetExceeded, match=message):
         find_tiling(g, T)
-
-
-@pytest.mark.parametrize("text", ["-5", "abc", "1.5", ""])
-def test_bad_budget_is_bad_input(monkeypatch, text):
-    monkeypatch.setenv("FUGLEDE_BUDGET", text)
-    with pytest.raises(ValueError, match="must be a non-negative integer"):
-        resolve_node_budget()
-    with pytest.raises(ValueError, match="must be a non-negative integer"):
-        find_tiling(Z4, {(0,)})
 
 
 def test_empty_set_rejected():
