@@ -48,7 +48,8 @@ def _lifted_pair(m: int, variant: str):
     """Omega_1 and Lambda_1 at scale m, refused before anything is built if
     the kernel refuses the order 3m or if TABLE_BUDGET cannot hold two int64
     copies of the 6·m^5 frequency rows (the sort's) and two int64 codes per
-    row, plus for `lattice` the certificate's (3m)^5-byte membership table."""
+    row, plus for `lattice` the certificate's (3m)^5-byte membership table.
+    `export` is charged the rows and codes too, so it is refused from m = 14."""
     from . import lattice
 
     if 3 * m > MAX_ORDER:
@@ -267,11 +268,9 @@ def cmd_verify(args) -> tuple[bool, dict, list[str]]:
 
 
 def cmd_export(args) -> tuple[bool, dict, list[str]]:
-    from . import continuum, lattice
+    from . import continuum
 
-    _, t5, l5 = _finite_counterexample("z3-5")
-    omega1 = lattice.build_omega1(t5, args.m)
-    lambda1 = lattice.build_lambda1(l5, args.m)
+    omega1, lambda1 = _lifted_pair(args.m, "export")
     omega2 = continuum.build_omega2(omega1)
     continuum.export_geometry(omega2, lambda1, args.out)
     return (

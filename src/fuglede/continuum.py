@@ -22,7 +22,7 @@ import numpy as np
 
 from .cyclotomic import vanishing
 from .groups import integer_rows
-from .lattice import FrequencySet, LatticeSet, Point, _geometric_zeros
+from .lattice import FrequencySet, LatticeSet, Point, _codes, _geometric_zeros
 from .lattice import character_sum_lattice, int64_rows
 
 Pairs = Iterator[tuple[np.ndarray, np.ndarray]]  # blocks of index pairs (i, j)
@@ -106,14 +106,17 @@ def verify_spectrum_truncation(
     {lambda + k : lambda in lambda1, |k|_inf <= k_radius}.
 
     A full quadratic pass when the pair count fits the budget, otherwise a
-    deterministic sample of pair indices, drawn with seed 0.  Completeness of the full
-    spectrum is not finitely checkable; this certifies orthogonality only.
+    deterministic sample of pair indices, drawn with seed 0.  Orthogonality
+    only: completeness follows from the lattice certificate and
+    |Lambda_1| = #Omega_1, neither of which is checked here.
 
     Frequency f is numerator f // S plus shift f % S, n digits base 2K+1 that
-    are the coordinates plus K.  Pairs are decided in blocks: a pair whose
-    cube or geometric factor vanishes on some axis (one gather from a table
-    over the residues mod the denominator) is orthogonal; the rest take one
-    batched cell sum per block.  A repeated frequency (eta = 0) fails that sum.
+    are the coordinates plus K.  Pairs are decided in blocks.  Residues with
+    no geometric zero are multiples of s, their gcd with D, so numerators
+    that differ mod s (their keys) are orthogonal.  Where the keys agree, a
+    pair whose cube or geometric factor vanishes on some axis (a gather from
+    a table over the residues mod D) is orthogonal; the rest take one batched
+    cell sum per block.  A repeated frequency (eta = 0) fails that sum.
     """
     if k_radius < 0:
         raise ValueError("k_radius must be >= 0")
@@ -123,17 +126,20 @@ def verify_spectrum_truncation(
     sampled = count * (count - 1) // 2 > pair_budget
     blocks = _sampled_pairs(count, pair_budget, 0) if sampled else _all_pairs(count)
     geometric = _geometric_zeros(denom, omega1.m)
+    key = _codes(nums, np.gcd.reduce(np.flatnonzero(~geometric), initial=denom))
     cell, checked = LatticeSet(omega1.base, 1), 0
     for i, j in blocks:
+        ok = key[i // per] != key[j // per]  # an axis differs mod s: a zero
+        same = np.flatnonzero(~ok)
         # Drawn pairs are unordered; the difference is taken from the lower index.
-        (num_a, num_b), shift = np.divmod(np.sort([i, j], axis=0), per)
+        (num_a, num_b), shift = np.divmod(np.sort([i[same], j[same]], axis=0), per)
         delta = (nums[num_a] - nums[num_b]) % denom
         # A cube factor vanishes where delta_k = 0 and the shifts differ (the
         # numerators are reduced, so no carry reaches such a coordinate).
         moved = [a != b for a, b in np.unravel_index(shift, side)]  # per axis
-        ok = (((delta.T == 0) & moved) | geometric[delta.T]).any(axis=0)
-        dead = ~ok
-        ok[dead] = vanishing(character_sum_lattice(cell, delta[dead], denom))
+        ok[same] = (((delta.T == 0) & moved) | geometric[delta.T]).any(axis=0)
+        dead = ~ok[same]
+        ok[same[dead]] = vanishing(character_sum_lattice(cell, delta[dead], denom))
         if not ok.all():
             first = int(np.argmin(ok))
             num, shift = np.divmod([i[first], j[first]], per)

@@ -350,6 +350,23 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
             "beyond its 256 MiB budget",
             id="continuum --m 21 past the row budget",
         ),
+        # export is charged the same rows and codes, before the file is opened.
+        pytest.param(
+            None,
+            ["export", "--m", "14", "--out", "big.json"],
+            2,
+            "--m 14: the export certificate needs about 295 MiB, "
+            "beyond its 256 MiB budget",
+            id="export --m 14 past the row budget",
+        ),
+        pytest.param(
+            None,
+            ["export", "--m", "21", "--out", "big.json"],
+            2,
+            "--m 21: the export certificate needs about 2243 MiB, "
+            "beyond its 256 MiB budget",
+            id="export --m 21 past the row budget",
+        ),
         pytest.param(
             None, ["scan", "4", "--size", "0"], 2, "--size: must be >= 1",
             id="None-argv10-2---size: must be >= 1",
@@ -455,6 +472,7 @@ def test_failures_exit_cleanly_with_json(
     assert fragment in error["error"]
     if code == 3:
         assert error["budget"] == int(budget)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["list.json", "no_q.json"]
 
 
 def test_cover_search_dead_at_its_first_node_is_settled_in_the_block(

@@ -316,6 +316,32 @@ def test_pairs_are_decided_from_the_factors_without_points(monkeypatch):
     assert "points" not in vars(o1)
 
 
+@pytest.mark.parametrize(
+    "denom, m, step",
+    [(6, 2, 2), (7, 1, 1), (2, 2, 1), (1, 1, 1)],
+    ids=["s=M", "s=1", "s=D=2", "s=D=1"],
+)
+@pytest.mark.parametrize("kind", ["as built", "repeated", "shifted"])
+@pytest.mark.parametrize(
+    "k_radius, budget", [(0, 10**6), (1, 3000)], ids=["full", "sampled"]
+)
+def test_key_filter_matches_per_pair_reference(denom, m, step, kind, k_radius, budget):
+    """The key is the code of a numerator mod s, the gcd of D and the residues
+    with no geometric zero: s = M at D = 3M, 1 at D = 7, M = 1, and D when
+    only 0 is free.  The rows are those of Lambda_1 reduced mod D; a shifted
+    row moves by `step` on one axis, at D = 3M by M, so that its key stays."""
+    o1, l1 = lifted_pair(m)
+    nums = [tuple(v % denom for v in row) for row in l1.numerators.tolist()]
+    if kind == "repeated":
+        nums.insert(3, nums[1])
+    elif kind == "shifted":
+        nums[2] = ((nums[2][0] + step) % denom,) + nums[2][1:]
+    l1 = FrequencySet(denom, nums)
+    result = verify_spectrum_truncation(o1, l1, k_radius, budget)
+    assert result.sampled == (k_radius == 1)
+    assert result == truncation_reference(o1, l1, k_radius, budget)
+
+
 @st.composite
 def truncation_cases(draw):
     """A small lifted set, Lambda_1 as built, perturbed or truncated, a
