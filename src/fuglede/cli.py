@@ -48,18 +48,14 @@ def _lifted_pair(m: int, variant: str):
     """Omega_1 and Lambda_1 at scale m, refused before anything is built if
     the kernel refuses the order 3m or if TABLE_BUDGET cannot hold two int64
     copies of the 6·m^5 frequency rows (the sort's) and two int64 codes per
-    row, plus for `lattice` the certificate's (3m)^5-byte membership table.
-    `export` is charged the rows and codes too, so it is refused from m = 14."""
+    row.  Every lift is charged the same, so each is refused from m = 14."""
     from . import lattice
 
     if 3 * m > MAX_ORDER:
         raise ValueError(f"--m {m}: root order 3M = {3 * m} exceeds {MAX_ORDER}")
     g5, t5, l5 = _finite_counterexample("z3-5")
     n, budget = g5.ndim, lattice.TABLE_BUDGET
-    need = 8 * len(l5) * m**n * (2 * n + 2)
-    if variant == "lattice":
-        need += (3 * m) ** n
-    if need > budget:
+    if (need := 8 * len(l5) * m**n * (2 * n + 2)) > budget:
         raise ValueError(
             f"--m {m}: the {variant} certificate needs about {need >> 20} MiB, "
             f"beyond its {budget >> 20} MiB budget"

@@ -22,8 +22,8 @@ import numpy as np
 
 from .cyclotomic import vanishing
 from .groups import integer_rows
-from .lattice import FrequencySet, LatticeSet, Point, _codes, _geometric_zeros
-from .lattice import character_sum_lattice, int64_rows
+from .lattice import FrequencySet, LatticeSet, Point, _cell_step, _codes
+from .lattice import _geometric_zeros, character_sum_lattice, int64_rows
 
 Pairs = Iterator[tuple[np.ndarray, np.ndarray]]  # blocks of index pairs (i, j)
 _BLOCK = 1 << 12  # pairs decided per numpy block, rows per export block
@@ -112,8 +112,8 @@ def verify_spectrum_truncation(
 
     Frequency f is numerator f // S plus shift f % S, n digits base 2K+1 that
     are the coordinates plus K.  Pairs are decided in blocks.  Residues with
-    no geometric zero are multiples of s, their gcd with D, so numerators
-    that differ mod s (their keys) are orthogonal.  Where the keys agree, a
+    no geometric zero are multiples of s (`_cell_step`), so numerators that
+    differ mod s (their keys) are orthogonal.  Where the keys agree, a
     pair whose cube or geometric factor vanishes on some axis (a gather from
     a table over the residues mod D) is orthogonal; the rest take one batched
     cell sum per block.  A repeated frequency (eta = 0) fails that sum.
@@ -126,7 +126,7 @@ def verify_spectrum_truncation(
     sampled = count * (count - 1) // 2 > pair_budget
     blocks = _sampled_pairs(count, pair_budget, 0) if sampled else _all_pairs(count)
     geometric = _geometric_zeros(denom, omega1.m)
-    key = _codes(nums, np.gcd.reduce(np.flatnonzero(~geometric), initial=denom))
+    key = _codes(nums, _cell_step(denom, omega1.m))
     cell, checked = LatticeSet(omega1.base, 1), 0
     for i, j in blocks:
         ok = key[i // per] != key[j // per]  # an axis differs mod s: a zero

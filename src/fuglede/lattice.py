@@ -8,10 +8,9 @@ frequencies (l + M*xi)/(3M) mod 1.  The character sum of the lift at a
 difference d is a product: one geometric sum over the cell index per axis,
 times the sum over the base cell.  So the differences where it does not
 vanish lie in {0, M, 2M}^n for the denominator 3M, one exact order-3M zero
-test over the base points decides them, and the certificate looks every
-frequency pair up against that set without building a lattice point.  The
-per-pair `pair_verdicts_factored` (the Fourier zero set of the base in
-Z_3^n) is an independent route to the same verdicts.
+test over the base points decides them, and two frequencies can fail only
+inside one cell class l: the certificate walks each class, looking its
+differences up in that set, without building a lattice point.
 """
 
 from __future__ import annotations
@@ -19,19 +18,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import comb, prod
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .cyclotomic import MAX_ORDER, _root_counts, vanishing_sums
-from .groups import GroupSpec
-from .spectra import fourier_zero_set
 from .tiling import DivisibilityObstruction
 
 Point = tuple[int, ...]
-TABLE_BUDGET = 1 << 28  # bytes for the certificate's rows and membership table
+TABLE_BUDGET = 1 << 28  # bytes for a lift's frequency rows and codes, or B's candidates
 
 
 @dataclass(frozen=True)
@@ -80,10 +77,11 @@ class FrequencySet:
         object.__setattr__(self, "numerators", nums)
 
     def rows(self, n: int) -> np.ndarray:
-        """The numerators, checked to have n coordinates unless empty."""
+        """The numerators as a (count, n) array, checked to have n
+        coordinates unless empty."""
         if len(self.numerators) and self.numerators.shape[1] != n:
             raise ValueError(f"frequencies must have {n} coordinates")
-        return self.numerators
+        return self.numerators.reshape(len(self.numerators), n)
 
 
 class OrthoResult(NamedTuple):
@@ -132,6 +130,14 @@ def _geometric_zeros(denom: int, m_scale: int) -> np.ndarray:
     return (3 * r % denom != 0) & (3 * r * m_scale % denom == 0)
 
 
+def _cell_step(denom: int, m_scale: int) -> int:
+    """The gcd s of denom and every residue with no geometric zero (s = M
+    at denom = 3M): each digit of a d in B is a multiple of s, so two rows
+    that differ mod s, in different cell classes, are orthogonal."""
+    live = np.flatnonzero(~_geometric_zeros(denom, m_scale))
+    return int(np.gcd.reduce(live, initial=denom))
+
+
 def _nonvanishing_codes(omega1: LatticeSet, denom: int) -> np.ndarray:
     """Sorted codes (`_codes`) of the set B of d in Z_denom^n where the sum
     over omega1 does not vanish, d = 0 (#points) first.  The sum is the
@@ -139,12 +145,12 @@ def _nonvanishing_codes(omega1: LatticeSet, denom: int) -> np.ndarray:
     C(d) over the base, so B is the d in L^n, L the residues of no geometric
     zero, with C(d) != 0: one `vanishing_sums` call over the base, on the
     3^n candidates {0, M, 2M}^n when denom = 3M.  ValueError for an order
-    the kernel refuses, or if two int64 copies of the candidates and
-    `_paired_rows`' table over Z_denom^n pass TABLE_BUDGET."""
+    the kernel refuses, or if two int64 copies of the candidates pass
+    TABLE_BUDGET."""
     if not 1 <= denom <= MAX_ORDER:
         raise ValueError(f"unsupported root order {denom}")
     n, live = omega1.dimension, np.flatnonzero(~_geometric_zeros(denom, omega1.m))
-    if (need := denom**n + 16 * n * len(live) ** n) > TABLE_BUDGET:
+    if (need := 16 * n * len(live) ** n) > TABLE_BUDGET:
         raise ValueError(f"Z_{denom}^{n} needs {need >> 20} MiB, beyond the budget")
     candidates = live[np.indices((len(live),) * n).reshape(n, -1).T]
     keep = ~vanishing_sums(np.array(omega1.base), candidates, denom)
@@ -161,70 +167,44 @@ def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarra
     whether its difference lies outside B; for the tests' cross-checks."""
     denom, nums = lambda1.denominator, lambda1.rows(omega1.dimension)
     bad, (i, j) = _nonvanishing_codes(omega1, denom), np.triu_indices(len(nums), 1)
-    codes = _codes(nums[j] - nums[i], denom) if len(i) else i  # (0, 0): no pairs
-    return ~np.isin(codes, bad)
-
-
-def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
-    """Same verdicts via the factorization: the geometric sum over the cell
-    index vanishes whenever the l parts differ; otherwise xi - xi' decides,
-    by membership in the Fourier zero set of the base in Z_3^n."""
-    m_scale, n = omega1.m, omega1.dimension
-    zero_set = fourier_zero_set(GroupSpec.power(3, n), omega1.base)
-    out = []
-    for ni, nj in itertools.combinations(lambda1.rows(n).tolist(), 2):
-        if any((vj - vi) % m_scale for vi, vj in zip(ni, nj)):  # l parts differ
-            out.append(True)
-        else:
-            dxi = tuple((vj // m_scale - vi // m_scale) % 3 for vi, vj in zip(ni, nj))
-            out.append(dxi in zero_set)
-    return np.array(out, dtype=bool)
+    return ~np.isin(_codes(nums[j] - nums[i], denom), bad)
 
 
 def verify_ortho_lattice(omega1: LatticeSet, lambda1: FrequencySet) -> OrthoResult:
     """Valid iff every distinct frequency pair has vanishing character sum
-    over omega1, i.e. no difference lies in B (`_nonvanishing_codes`).  B
-    is closed under d -> -d, so a row is in a failing pair iff it repeats
-    another row or its numerator plus some b != 0 in B is another row's
-    (`_paired_rows`); the first such row holds the witness, the first
-    failing pair in combinations order, and only it is read.  For
-    |B| >= count / 2 the rows are walked from the first.  The tests check
-    the verdicts against `pair_verdicts_factored` and a dense table."""
-    denom, nums = lambda1.denominator, lambda1.rows(omega1.dimension)
-    bad, count = _nonvanishing_codes(omega1, denom), len(nums)
-    rows: Iterable[int] = range(count - 1)
-    if 2 * len(bad) < count:
-        rows = np.flatnonzero(_paired_rows(nums, bad, denom))[:1]
-    for i in rows:
+    over omega1, i.e. no difference lies in B (`_nonvanishing_codes`).
+
+    A failing pair lies in one cell class (x mod s, s = `_cell_step`).  The
+    rows are keyed by (x mod s, x // s) and each distinct row kept once, in
+    key order: a repeated row fails, as 0 is in B, and a class then holds at
+    most (denom/s)^n rows.  For offsets t = 1, 2, ..., while some kept row
+    shares its class with the one t places on, each such pair's difference
+    is looked up in B and both rows marked if it is there.  B is closed
+    under d -> -d, so the first row whose kept row is marked is the first
+    row of a failing pair; its row search gives the witness, the first
+    failing pair in combinations order."""
+    denom, n = lambda1.denominator, omega1.dimension
+    nums, bad = lambda1.rows(n), _nonvanishing_codes(omega1, denom)
+    pairs, step = comb(len(nums), 2), _cell_step(denom, omega1.m)
+    # int8 holds every digit (< denom <= 64) and every digit difference.
+    q, digits = denom // step, nums.astype(np.int8)
+    dims = (step,) * n + (q,) * n
+    key = np.ravel_multi_index((*(digits % step).T, *(digits // step).T), dims)
+    cell, first, repeats = np.unique(key, return_index=True, return_counts=True)
+    cell, digits, hit = cell // q**n, digits[first], repeats > 1
+    t = 1
+    while len(p := np.flatnonzero(cell[t:] == cell[:-t])):
+        codes = _codes(digits[p + t] - digits[p], denom)
+        p = p[bad.take(np.searchsorted(bad, codes), mode="clip") == codes]
+        hit[p] = hit[p + t] = True
+        t += 1
+    if hit.any():
+        i = int(first[hit].min())
         codes = _codes(nums[i + 1 :] - nums[i], denom)
         row = bad.take(np.searchsorted(bad, codes), mode="clip") == codes
-        if row.any():
-            witness = nums[[i, i + 1 + int(np.argmax(row))]].tolist()
-            return OrthoResult(False, tuple(map(tuple, witness)), comb(count, 2))
-    return OrthoResult(True, pairs=comb(count, 2))
-
-
-def _paired_rows(nums: np.ndarray, bad: np.ndarray, denom: int) -> np.ndarray:
-    """Per row x, whether x + b is a row for some b in B (sorted, so b = 0
-    first): for b = 0 the first of two equal sorted codes, else a gather
-    from a bool membership table over Z_denom^n.  The code of x + b is
-    T_b[hi(x)] + U_b[lo(x)]: hi and lo are the first h = n // 2 digits of
-    x's code and the rest, and T_b, U_b the codes of all such digits plus
-    b's, outer sums of one wrapped stride table per axis."""
-    codes, n, h = _codes(nums, denom), nums.shape[1], nums.shape[1] // 2
-    present = np.zeros(denom**n, dtype=bool)
-    present[codes] = True
-    order = np.argsort(codes, kind="stable")
-    hit = np.zeros(len(nums), dtype=bool)
-    hit[order[:-1][codes[order[1:]] == codes[order[:-1]]]] = True
-    high, low = np.divmod(codes, denom ** (n - h))
-    del codes, order
-    wrapped = np.arange(2 * denom) % denom * denom ** np.arange(n - 1, -1, -1)[:, None]
-    for b in np.column_stack(np.unravel_index(bad[1:], (denom,) * n)):
-        parts = [wrapped[k, b[k] : b[k] + denom] for k in range(n)]
-        t, u = (np.ravel(reduce(np.add.outer, s, 0)) for s in (parts[:h], parts[h:]))
-        hit |= present[t[high] + u[low]]
-    return hit
+        witness = nums[[i, i + 1 + int(np.argmax(row))]].tolist()
+        return OrthoResult(False, tuple(map(tuple, witness)), pairs)
+    return OrthoResult(True, pairs=pairs)
 
 
 def character_sum_lattice(omega1: LatticeSet, deltas, denom: int) -> np.ndarray:

@@ -4,6 +4,7 @@ against them, or use them to build inputs."""
 from __future__ import annotations
 
 import cmath
+import itertools
 from functools import reduce
 from typing import Iterable, Iterator, Optional
 
@@ -14,6 +15,7 @@ from fuglede.cyclotomic import CyclotomicInt, reduction_matrix
 from fuglede.groups import Element, GroupSpec
 from fuglede.lattice import FrequencySet, LatticeSet, Point
 from fuglede.spectra import ScanRecord, _class_blocks, _record, find_spectrum
+from fuglede.spectra import fourier_zero_set
 
 _EXACT = 1 << 24  # float32 holds every integer in [0, 2^24] exactly
 
@@ -72,6 +74,23 @@ def table_pair_verdicts(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray
     shape = (denom,) * nums.shape[1]
     codes = np.ravel_multi_index((nums[j] - nums[i]).T, shape, mode="wrap")
     return vanishing_table(omega1, denom)[codes]
+
+
+def pair_verdicts_factored(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
+    """Every pair's verdict in itertools.combinations order, one pair at a
+    time from the factorization: the geometric sum over the cell index
+    vanishes whenever the l parts differ; otherwise xi - xi' decides, by
+    membership in the Fourier zero set of the base in Z_3^n."""
+    m_scale, n = omega1.m, omega1.dimension
+    zero_set = fourier_zero_set(GroupSpec.power(3, n), omega1.base)
+    out = []
+    for ni, nj in itertools.combinations(lambda1.rows(n).tolist(), 2):
+        if any((vj - vi) % m_scale for vi, vj in zip(ni, nj)):  # l parts differ
+            out.append(True)
+        else:
+            dxi = tuple((vj // m_scale - vi // m_scale) % 3 for vi, vj in zip(ni, nj))
+            out.append(dxi in zero_set)
+    return np.array(out, dtype=bool)
 
 
 def counted_cells(omega1: LatticeSet) -> bool:

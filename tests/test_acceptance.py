@@ -23,12 +23,11 @@ from fuglede.lattice import (
     cell_count_check,
     density_check,
     pair_verdicts_direct,
-    pair_verdicts_factored,
     verify_ortho_lattice,
 )
 from fuglede.spectra import find_spectrum, fuglede_scan, is_spectrum
 from fuglede.tiling import find_tiling
-from oracles import window_count
+from oracles import pair_verdicts_factored, window_count
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -243,9 +243,9 @@ def test_out_of_memory_is_bad_input(capsys, monkeypatch, tmp_path, stage, argv):
 
 
 def test_lattice_scale_past_the_table_budget_exits_at_once(capsys, monkeypatch):
-    """From --m 13 the frequency rows, their copies and the membership table
-    over Z_3M^5 would pass the budget: exit 2 in under 1 s, before a point
-    or a frequency is built.  --m 12 gets past the guard."""
+    """From --m 14 the frequency rows, their copies and codes would pass the
+    budget: exit 2 in under 1 s, before a point or a frequency is built.
+    --m 13 gets past the guard."""
     built = []
 
     def stop(base, m):
@@ -254,7 +254,7 @@ def test_lattice_scale_past_the_table_budget_exits_at_once(capsys, monkeypatch):
 
     for name in ("build_omega1", "build_lambda1"):
         monkeypatch.setattr(lattice, name, stop)
-    for m, need in ((13, 290), (16, 819), (21, 3189)):
+    for m, need in ((14, 295), (16, 576), (21, 2243)):
         argv = ["counterexample", "lattice", "--m", str(m)]
         message = (
             f"--m {m}: the lattice certificate needs about {need} MiB, "
@@ -268,9 +268,9 @@ def test_lattice_scale_past_the_table_budget_exits_at_once(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"
     assert built == []
-    code, out = run(capsys, "--json", "counterexample", "lattice", "--m", "12")
+    code, out = run(capsys, "--json", "counterexample", "lattice", "--m", "13")
     assert code == 2 and json.loads(out) == {"error": "stopped after the scale guard"}
-    assert built == [12]
+    assert built == [13]
 
 
 def test_corrupted_matrix_fails(capsys, tmp_path):
@@ -512,6 +512,8 @@ GOLDEN_STDOUT = {
     "counterexample lattice --m 2": "294645ceec72e5740790aa27c0919a8504dcdd8d641787a7b50e3afc68016063",
     "counterexample lattice --m 3": "2d92fa85249275d813ebca9b3bddb327a0029079004301650c664c9d13f47f92",
     "counterexample lattice --m 4": "4e254171b2cbc5fd2fd2286439b4aaff8fa12e8e0c212e0c0125793c8a20d5e8",
+    # 196,608 frequencies in 32,768 cell classes of six.
+    "counterexample lattice --m 8": "f315a214bba1164e117a184b2ba49513e116eea813b7e02c406dfa34cc9eac64",
     "counterexample z2-12": "2d3a318044205396c833894816938fb356ec8cf54daad37ab471237c0cdaa38e",
     "counterexample z2-11": "e7c260f9d2b5af4b4de8d5d9e2d4b22fc76f49f6c965ff775f8682f9db8c1c11",
     "scan 12": "016e424036f29cb52da5afb2f37ccd1dd9340ba41866ba7f657a3e7c610f0c44",
@@ -558,6 +560,7 @@ GOLDEN_HUMAN_STDOUT = {
     "counterexample lattice --m 2": "ad1208656de175bf5fc7a649f76a6f44712518236dcc6a6e7d91fbd8d5fad011",
     "counterexample lattice --m 3": "1cbf17fb56c5935a70d752d86e2c6c0b701f31fc61a8cb2e05f60057415133e6",
     "counterexample lattice --m 4": "1f4bdc5144952198c0341a5f2aba94f7a58a831c8ca6ff168d30dfd70974de14",
+    "counterexample lattice --m 8": "99c18e91ef2154fec596e24159903c37cf671e7d8bc5d73c96beafa627e803d0",
     "counterexample z2-11": "01fa404a1f249d393c440712355cf6996606f14f4f0110eecb6efd607ba23fce",
     "counterexample z2-12": "ec9a3ed2c34c79763837051c7f638dd207aecec5c2358e5495546f5eefb8f201",
     "counterexample z3-5": "bb8b8d785bad778532b6b1a29664dfec26b723a8b01c38d5d76458c0b88bfc50",

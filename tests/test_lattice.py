@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import time
 import typing
 from fractions import Fraction
 from unittest import mock
@@ -22,7 +23,6 @@ from fuglede.lattice import (
     character_sum_lattice,
     density_check,
     pair_verdicts_direct,
-    pair_verdicts_factored,
     torus_non_tiling,
     verify_ortho_lattice,
 )
@@ -30,6 +30,7 @@ from fuglede.spectra import is_spectrum
 from oracles import (
     _window_counts,
     counted_cells,
+    pair_verdicts_factored,
     table_pair_verdicts,
     vanishing_table,
     window_count,
@@ -200,11 +201,11 @@ def test_direct_rejects_order_above_max_before_allocating(z3_5_pair):
 
 def test_candidates_past_the_budget_are_refused_before_allocating():
     # At M = 1 no geometric factor vanishes, so all 40^5 differences are
-    # candidates: refused, as the dense table over Z_40^5 would be.
+    # candidates: two int64 copies of them are refused before any is built.
     o1 = build_omega1([(0,) * 5, (1,) * 5], 1)
     two = FrequencySet(40, ((0,) * 5, (1,) * 5))
     for route in (verify_ortho_lattice, pair_verdicts_direct):
-        with pytest.raises(ValueError, match=r"Z_40\^5 needs 7910 MiB, beyond the"):
+        with pytest.raises(ValueError, match=r"Z_40\^5 needs 7812 MiB, beyond the"):
             route(o1, two)
     assert "points" not in vars(o1)
 
@@ -277,10 +278,9 @@ def test_factorization_gives_213_codes_at_every_scale_the_command_admits(z3_5_pa
 
 
 def test_witness_from_the_code_lookups_at_m3(z3_5_pair):
-    """At M=3 (1,458 frequencies, 213 nonvanishing codes) the witness comes
-    from the |B| x count lookups, not a row walk: it is the first failing
-    pair of the gathered verdicts, for a repeat and for bumps at the start,
-    middle and end of the rows."""
+    """At M=3 (1,458 frequencies, 213 nonvanishing codes) the witness from
+    the class walk is the first failing pair of the gathered verdicts, for a
+    repeat and for bumps at the start, middle and end of the rows."""
     T5, L5 = z3_5_pair
     o1 = build_omega1(T5, 3)
     nums = build_lambda1(L5, 3).numerators.tolist()
@@ -297,6 +297,20 @@ def test_witness_from_the_code_lookups_at_m3(z3_5_pair):
         i, j = (int(k[first]) for k in np.triu_indices(count, 1))
         assert not result.valid and result.pairs == count * (count - 1) // 2
         assert result.witness == (tuple(bad_nums[i]), tuple(bad_nums[j]))
+
+
+def test_many_copies_of_one_row_stay_linear(z3_5_pair):
+    """20,000 copies of one row after the M=2 frequencies: each distinct row
+    is walked once, so the certificate returns the first failing pair, the
+    row and its first copy, well within a second."""
+    T5, L5 = z3_5_pair
+    nums = build_lambda1(L5, 2).numerators
+    many = FrequencySet(6, np.concatenate([nums, np.repeat(nums[97:98], 20000, 0)]))
+    start = time.perf_counter()
+    result = verify_ortho_lattice(build_omega1(T5, 2), many)
+    assert time.perf_counter() - start < 1
+    row = tuple(nums[97].tolist())
+    assert result == OrthoResult(False, (row, row), 20192 * 20191 // 2)
 
 
 @st.composite
@@ -359,9 +373,9 @@ def test_direct_matches_per_pair_sums_and_factored(sets):
 def lifted_sets_any_denominator(draw):
     """A lifted set with n <= 3 and M <= 4 and frequencies from build_lambda1
     over the denominator 3M or any of 1..40 (the rows reduced mod it), as
-    built, with rows shifted, with a row repeated, or cut to 0 or 1 rows:
-    large enough for the |B| x count lookups, and with other denominators,
-    where the residues of a geometric zero are not the multiples of M."""
+    built, with rows shifted, with a row repeated, or cut to 0 or 1 rows;
+    the other denominators are where the residues of a geometric zero are
+    not the multiples of M, so the cell classes are not the l parts."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     cube = list(itertools.product(range(3), repeat=n))
     axis = st.lists(st.sampled_from(range(3)), min_size=1, unique=True)
