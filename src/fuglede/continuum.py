@@ -22,8 +22,8 @@ import numpy as np
 
 from .cyclotomic import vanishing
 from .groups import integer_rows
-from .lattice import FrequencySet, LatticeSet, Point, _cell_step, _codes
-from .lattice import _geometric_zeros, character_sum_lattice, int64_rows
+from .lattice import FrequencySet, LatticeSet, Point, _codes, _lifted_rows
+from .lattice import character_sum_lattice, int64_rows
 
 Pairs = Iterator[tuple[np.ndarray, np.ndarray]]  # blocks of index pairs (i, j)
 _BLOCK = 1 << 12  # pairs decided per numpy block, rows per export block
@@ -111,33 +111,31 @@ def verify_spectrum_truncation(
     |Lambda_1| = #Omega_1, neither of which is checked here.
 
     Frequency f is numerator f // S plus shift f % S, n digits base 2K+1 that
-    are the coordinates plus K.  Pairs are decided in blocks.  Residues with
-    no geometric zero are multiples of s (`_cell_step`), so numerators that
-    differ mod s (their keys) are orthogonal.  Where the keys agree, a
-    pair whose cube or geometric factor vanishes on some axis (a gather from
-    a table over the residues mod D) is orthogonal; the rest take one batched
-    cell sum per block.  A repeated frequency (eta = 0) fails that sum.
+    are the coordinates plus K.  ValueError unless the denominator is 3M:
+    then numerators that differ mod M on an axis (different keys) meet a
+    geometric zero.  Pairs are decided in blocks; of those whose keys agree,
+    one with a vanishing cube factor is orthogonal, and the rest take one
+    batched cell sum per block, symmetric in the pair (at -delta it is the
+    conjugate).  A repeated frequency (eta = 0) fails that sum.
     """
     if k_radius < 0:
         raise ValueError("k_radius must be >= 0")
-    denom, n = lambda1.denominator, omega1.dimension
-    nums, side = lambda1.rows(n), (2 * k_radius + 1,) * n
-    count = len(nums) * (per := side[0] ** n)
+    nums, denom = _lifted_rows(omega1, lambda1), lambda1.denominator
+    side = (2 * k_radius + 1,) * omega1.dimension
+    count = len(nums) * (per := side[0] ** omega1.dimension)
     sampled = count * (count - 1) // 2 > pair_budget
     blocks = _sampled_pairs(count, pair_budget, 0) if sampled else _all_pairs(count)
-    geometric = _geometric_zeros(denom, omega1.m)
-    key = _codes(nums, _cell_step(denom, omega1.m))
+    key = _codes(nums, omega1.m)
     cell, checked = LatticeSet(omega1.base, 1), 0
     for i, j in blocks:
-        ok = key[i // per] != key[j // per]  # an axis differs mod s: a zero
+        ok = key[i // per] != key[j // per]  # an axis differs mod M: a zero
         same = np.flatnonzero(~ok)
-        # Drawn pairs are unordered; the difference is taken from the lower index.
-        (num_a, num_b), shift = np.divmod(np.sort([i[same], j[same]], axis=0), per)
+        (num_a, num_b), shift = np.divmod([i[same], j[same]], per)
         delta = (nums[num_a] - nums[num_b]) % denom
         # A cube factor vanishes where delta_k = 0 and the shifts differ (the
         # numerators are reduced, so no carry reaches such a coordinate).
         moved = [a != b for a, b in np.unravel_index(shift, side)]  # per axis
-        ok[same] = (((delta.T == 0) & moved) | geometric[delta.T]).any(axis=0)
+        ok[same] = ((delta.T == 0) & moved).any(axis=0)
         dead = ~ok[same]
         ok[same[dead]] = vanishing(character_sum_lattice(cell, delta[dead], denom))
         if not ok.all():

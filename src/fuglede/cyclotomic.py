@@ -105,12 +105,14 @@ def _root_counts(points: np.ndarray, deltas: np.ndarray, m: int) -> np.ndarray:
     every product d . x is an int64 of at most n (m - 1)^2.  Per chunk, row
     r's exponents mod m are offset by r * m, so one bincount gives the
     chunk's counts.  A chunk holds at most _BATCH product entries and _BATCH
-    bins, or one row; ValueError if points or deltas are not integer arrays
-    (a float entry may already be rounded).
+    bins, or one row.  ValueError for non-integer arrays (a float may be rounded)
+    and, before any bin, for a nonempty batch whose order `vanishing` refuses.
     """
     points, deltas, m = np.asarray(points), np.asarray(deltas), int(m)
     if not all(np.issubdtype(a.dtype, np.integer) for a in (points, deltas)):
         raise ValueError("points and deltas must be integer arrays")
+    if len(deltas) and not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"unsupported root order {m}")
     points, deltas = ((a % m).astype(np.int64) for a in (points, deltas))
     step = max(1, _BATCH // max(len(points), m))  # deltas per chunk
     counts = np.empty((len(deltas), m), dtype=np.int64)

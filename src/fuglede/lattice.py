@@ -4,13 +4,14 @@ The lifted set is the union over k in [0,M)^n of 3k + base, where the base
 points live in {0,1,2}^n and are carried into Z^n coordinatewise (the
 identification is deliberately not a homomorphism: no reduction mod 3 ever
 happens on lattice points).  Its candidate spectrum consists of rational
-frequencies (l + M*xi)/(3M) mod 1.  The character sum of the lift at a
-difference d is a product: one geometric sum over the cell index per axis,
-times the sum over the base cell.  So the differences where it does not
-vanish lie in {0, M, 2M}^n for the denominator 3M, one exact order-3M zero
-test over the base points decides them, and two frequencies can fail only
-inside one cell class l: the certificate walks each class, looking its
-differences up in that set, without building a lattice point.
+frequencies (l + M*xi)/(3M) mod 1, and the certificates accept no other
+denominator.  The character sum of the lift at a difference d is a
+product: one geometric sum over the cell index per axis, times the sum
+over the base cell.  So the set B of differences where it does not vanish
+is M times the codes of Z_3^n where the base sum does not vanish, one
+order-3 zero test each, and two frequencies can fail only inside one cell
+class l, where xi - xi' decides: the certificate walks each class, reading
+that table, without building a lattice point.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .cyclotomic import MAX_ORDER, _root_counts, vanishing_sums
+from .cyclotomic import _root_counts, vanishing_sums
+from .groups import GroupSpec
 from .tiling import DivisibilityObstruction
 
 Point = tuple[int, ...]
-TABLE_BUDGET = 1 << 28  # bytes for a lift's frequency rows and codes, or B's candidates
+TABLE_BUDGET = 1 << 28  # bytes for a lift's frequency rows and codes
 
 
 @dataclass(frozen=True)
@@ -123,38 +125,18 @@ def build_lambda1(base_spec: Iterable[Point], m_scale: int) -> FrequencySet:
     return FrequencySet(3 * m_scale, nums)
 
 
-def _geometric_zeros(denom: int, m_scale: int) -> np.ndarray:
-    """Per residue r mod denom, whether sum_{j<M} w^(3rj), w = exp(2 pi i /
-    denom), vanishes: iff w^(3r) != 1 = w^(3rM)."""
-    r = np.arange(denom)
-    return (3 * r % denom != 0) & (3 * r * m_scale % denom == 0)
+def _lifted_rows(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
+    """lambda1's (count, n) rows, refused first (ValueError) unless D = 3M."""
+    if (denom := lambda1.denominator) != 3 * omega1.m:
+        raise ValueError(f"denominator {denom} is not the lift's 3M = {3 * omega1.m}")
+    return lambda1.rows(omega1.dimension)
 
 
-def _cell_step(denom: int, m_scale: int) -> int:
-    """The gcd s of denom and every residue with no geometric zero (s = M
-    at denom = 3M): each digit of a d in B is a multiple of s, so two rows
-    that differ mod s, in different cell classes, are orthogonal."""
-    live = np.flatnonzero(~_geometric_zeros(denom, m_scale))
-    return int(np.gcd.reduce(live, initial=denom))
-
-
-def _nonvanishing_codes(omega1: LatticeSet, denom: int) -> np.ndarray:
-    """Sorted codes (`_codes`) of the set B of d in Z_denom^n where the sum
-    over omega1 does not vanish, d = 0 (#points) first.  The sum is the
-    product of one geometric sum over the cell index per axis and the sum
-    C(d) over the base, so B is the d in L^n, L the residues of no geometric
-    zero, with C(d) != 0: one `vanishing_sums` call over the base, on the
-    3^n candidates {0, M, 2M}^n when denom = 3M.  ValueError for an order
-    the kernel refuses, or if two int64 copies of the candidates pass
-    TABLE_BUDGET."""
-    if not 1 <= denom <= MAX_ORDER:
-        raise ValueError(f"unsupported root order {denom}")
-    n, live = omega1.dimension, np.flatnonzero(~_geometric_zeros(denom, omega1.m))
-    if (need := 16 * n * len(live) ** n) > TABLE_BUDGET:
-        raise ValueError(f"Z_{denom}^{n} needs {need >> 20} MiB, beyond the budget")
-    candidates = live[np.indices((len(live),) * n).reshape(n, -1).T]
-    keep = ~vanishing_sums(np.array(omega1.base), candidates, denom)
-    return _codes(candidates[keep], denom)
+def _nonvanishing_table(omega1: LatticeSet) -> np.ndarray:
+    """Per code of Z_3^n (`_codes`), whether the base sum there does not
+    vanish, 0 among them; ValueError from n = 13, past `GroupSpec.coords`."""
+    n = omega1.dimension
+    return ~vanishing_sums(np.array(omega1.base), GroupSpec.power(3, n).coords, 3)
 
 
 def _codes(rows: np.ndarray, denom: int) -> np.ndarray:
@@ -162,46 +144,54 @@ def _codes(rows: np.ndarray, denom: int) -> np.ndarray:
     return np.ravel_multi_index(rows.T, (denom,) * rows.shape[1], mode="wrap")
 
 
+def _in_b(diffs: np.ndarray, m_scale: int, table: np.ndarray) -> np.ndarray:
+    """Whether each row d of numerator differences over 3M lies in B: every
+    digit is a multiple of M and the table holds at d // M in Z_3^n."""
+    return ~(diffs % m_scale).any(axis=1) & table[_codes(diffs // m_scale, 3)]
+
+
 def pair_verdicts_direct(omega1: LatticeSet, lambda1: FrequencySet) -> np.ndarray:
     """The verdict of every frequency pair, in itertools.combinations order:
     whether its difference lies outside B; for the tests' cross-checks."""
-    denom, nums = lambda1.denominator, lambda1.rows(omega1.dimension)
-    bad, (i, j) = _nonvanishing_codes(omega1, denom), np.triu_indices(len(nums), 1)
-    return ~np.isin(_codes(nums[j] - nums[i], denom), bad)
+    nums, table = _lifted_rows(omega1, lambda1), _nonvanishing_table(omega1)
+    i, j = np.triu_indices(len(nums), 1)
+    return ~_in_b(nums[j] - nums[i], omega1.m, table)
+
+
+def _distinct_rows(nums: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """Each distinct row once, in (x mod M, x // M) key order: its first
+    index, whether it repeats, its class code and its xi = x // M digits."""
+    digits, n = nums.astype(np.min_scalar_type(3 * m)), nums.shape[1]
+    key = np.ravel_multi_index((*(digits % m).T, *(digits // m).T), (m,) * n + (3,) * n)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    new = np.diff(key, prepend=-1) != 0  # keys are >= 0
+    first, hit = order[new], (np.diff(key, append=-1) == 0)[new]
+    return first, hit, key[new] // 3**n, (digits[first] // m).astype(np.int8)
 
 
 def verify_ortho_lattice(omega1: LatticeSet, lambda1: FrequencySet) -> OrthoResult:
     """Valid iff every distinct frequency pair has vanishing character sum
-    over omega1, i.e. no difference lies in B (`_nonvanishing_codes`).
+    over omega1, i.e. no difference lies in B (`_in_b`); ValueError unless
+    the denominator is 3M.  A failing pair lies in one cell class x mod M.
 
-    A failing pair lies in one cell class (x mod s, s = `_cell_step`).  The
-    rows are keyed by (x mod s, x // s) and each distinct row kept once, in
-    key order: a repeated row fails, as 0 is in B, and a class then holds at
-    most (denom/s)^n rows.  For offsets t = 1, 2, ..., while some kept row
-    shares its class with the one t places on, each such pair's difference
-    is looked up in B and both rows marked if it is there.  B is closed
-    under d -> -d, so the first row whose kept row is marked is the first
-    row of a failing pair; its row search gives the witness, the first
-    failing pair in combinations order."""
-    denom, n = lambda1.denominator, omega1.dimension
-    nums, bad = lambda1.rows(n), _nonvanishing_codes(omega1, denom)
-    pairs, step = comb(len(nums), 2), _cell_step(denom, omega1.m)
-    # int8 holds every digit (< denom <= 64) and every digit difference.
-    q, digits = denom // step, nums.astype(np.int8)
-    dims = (step,) * n + (q,) * n
-    key = np.ravel_multi_index((*(digits % step).T, *(digits // step).T), dims)
-    cell, first, repeats = np.unique(key, return_index=True, return_counts=True)
-    cell, digits, hit = cell // q**n, digits[first], repeats > 1
-    t = 1
+    Each distinct row is kept once (`_distinct_rows`): a repeated row fails,
+    as 0 is in B, and a class then holds at most 3^n rows.  For offsets
+    t = 1, 2, ..., while some kept row shares its class with the one t
+    places on, both rows are marked where the table holds at their xi
+    difference.  B is closed under d -> -d, so the first row whose kept row
+    is marked is the first row of a failing pair; its row search gives the
+    witness, the first failing pair in combinations order."""
+    nums, table = _lifted_rows(omega1, lambda1), _nonvanishing_table(omega1)
+    first, hit, cell, xi = _distinct_rows(nums, omega1.m)
+    t, pairs = 1, comb(len(nums), 2)
     while len(p := np.flatnonzero(cell[t:] == cell[:-t])):
-        codes = _codes(digits[p + t] - digits[p], denom)
-        p = p[bad.take(np.searchsorted(bad, codes), mode="clip") == codes]
+        p = p[table[_codes(xi[p + t] - xi[p], 3)]]
         hit[p] = hit[p + t] = True
         t += 1
     if hit.any():
         i = int(first[hit].min())
-        codes = _codes(nums[i + 1 :] - nums[i], denom)
-        row = bad.take(np.searchsorted(bad, codes), mode="clip") == codes
+        row = _in_b(nums[i + 1 :] - nums[i], omega1.m, table)
         witness = nums[[i, i + 1 + int(np.argmax(row))]].tolist()
         return OrthoResult(False, tuple(map(tuple, witness)), pairs)
     return OrthoResult(True, pairs=pairs)

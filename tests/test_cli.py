@@ -671,6 +671,31 @@ def run_python(*args: str, **environ: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_root_orders_past_the_kernel_exit_before_allocating(tmp_path):
+    """An order that the kernel refuses exits 2 before its root-count bins
+    are allocated, on the spectrum path and on the matrix path: at order
+    8,000,000 the whole process stays below 60 MiB resident (about 90 MB
+    when the bins came first).  A child's ru_maxrss counts the pages of the
+    process it was forked from, so a fresh interpreter starts the command."""
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"q": 8_000_000, "logs": [[0, 0], [0, 4_000_000]]}))
+    spectrum = ["--group", "8000000", "--set", "[[1],[2]]", "--spectrum", "[[0],[1]]"]
+    script = (
+        "import json, os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "out = proc.stdout.read().decode()\n"
+        "print(json.dumps([os.waitstatus_to_exitcode(status), out, usage.ru_maxrss]))\n"
+    )
+    for argv in (spectrum, ["--matrix", str(matrix)]):
+        cli = [sys.executable, "-m", "fuglede.cli", "--json", "verify", *argv]
+        proc = run_python("-c", script, *cli)
+        assert proc.returncode == 0, proc.stderr
+        code, out, peak = json.loads(proc.stdout)
+        assert code == 2 and json.loads(out) == {"error": "unsupported root order 8000000"}
+        assert peak < 60 * 1024, peak  # KiB on Linux
+
+
 def test_optimized_run_keeps_the_pinned_bytes():
     # Under -O every assert is gone; no check of a command may be one.
     command = "counterexample z3-5"

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import oracles
 from fuglede import cyclotomic, lattice
+from fuglede.continuum import verify_spectrum_truncation
 from fuglede.cyclotomic import CyclotomicInt, vanishing
+from fuglede.groups import GroupSpec
 from fuglede.hadamard import descend, paper_h6, spectrum_from_butson
 from fuglede.lattice import (
     FrequencySet,
@@ -26,7 +28,7 @@ from fuglede.lattice import (
     torus_non_tiling,
     verify_ortho_lattice,
 )
-from fuglede.spectra import is_spectrum
+from fuglede.spectra import fourier_zero_set, is_spectrum
 from oracles import (
     _window_counts,
     counted_cells,
@@ -105,8 +107,6 @@ def test_ortho_m1_equivalent_to_finite_group(z3_5_pair):
     T5, L5 = z3_5_pair
     o1 = build_omega1(T5, 1)
     l1 = build_lambda1(L5, 1)
-    from fuglede.groups import GroupSpec
-
     assert verify_ortho_lattice(o1, l1).valid == is_spectrum(
         GroupSpec.power(3, 5), frozenset(T5), frozenset(L5)
     ).valid
@@ -192,20 +192,37 @@ def test_verify_walks_rows_without_the_per_pair_array(z3_5_pair, monkeypatch):
 def test_direct_rejects_order_above_max_before_allocating(z3_5_pair):
     T5, _ = z3_5_pair
     o1 = build_omega1(T5, 1)
-    # 65^5 booleans would be about 1.16 GB; the order is refused first.
+    # Only the lift's denominator 3M is accepted; 65 is refused first.
     bad = FrequencySet(65, ((0,) * 5, (64, 1, 2, 3, 4)))
-    with pytest.raises(ValueError, match="unsupported root order 65"):
+    with pytest.raises(ValueError, match="denominator 65 is not the lift's 3M = 3"):
         pair_verdicts_direct(o1, bad)
     assert "points" not in vars(o1)
 
 
+def test_denominators_other_than_3m_are_refused_before_anything_is_built(z3_5_pair):
+    """The lattice routes and the continuum share one refusal: the M = 1
+    frequencies over 7 instead of 3 raise before a table or point is built."""
+    T5, L5 = z3_5_pair
+    o1 = build_omega1(T5, 1)
+    seven = FrequencySet(7, build_lambda1(L5, 1).numerators)
+    routes = [
+        verify_ortho_lattice,
+        pair_verdicts_direct,
+        lambda o, l: verify_spectrum_truncation(o, l, 1),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="denominator 7 is not the lift's 3M = 3"):
+            route(o1, seven)
+    assert "points" not in vars(o1)
+
+
 def test_candidates_past_the_budget_are_refused_before_allocating():
-    # At M = 1 no geometric factor vanishes, so all 40^5 differences are
-    # candidates: two int64 copies of them are refused before any is built.
-    o1 = build_omega1([(0,) * 5, (1,) * 5], 1)
-    two = FrequencySet(40, ((0,) * 5, (1,) * 5))
+    # The table over Z_3^n lists every element of the group, which
+    # GroupSpec.coords refuses past 2^20 elements: from n = 13 (3^13).
+    o1 = build_omega1([(0,) * 13, (1,) * 13], 1)
+    two = FrequencySet(3, ((0,) * 13, (1,) * 13))
     for route in (verify_ortho_lattice, pair_verdicts_direct):
-        with pytest.raises(ValueError, match=r"Z_40\^5 needs 7812 MiB, beyond the"):
+        with pytest.raises(ValueError, match="order 1594323 too large to enumerate"):
             route(o1, two)
     assert "points" not in vars(o1)
 
@@ -223,9 +240,9 @@ def test_frequency_rows_must_match_the_dimension(z3_5_pair, width, route):
 
 
 def test_direct_zero_tests_every_code_once(z3_5_pair, monkeypatch):
-    """Each lattice route makes one `vanishing` call, on the 3^5 = 243
-    candidates {0, M, 2M}^5 of Z_6^5 where no geometric factor vanishes;
-    213 of them, d = 0 among them, have a nonvanishing sum."""
+    """Each lattice route makes one `vanishing` call, on the 3^5 = 243 codes
+    of Z_3^5; at M = 2 the 213 where the base sum does not vanish, 0 among
+    them, are the nonvanishing codes of Z_6^5 once each digit is doubled."""
     T5, L5 = z3_5_pair
     o1 = build_omega1(T5, 2)
     l1 = build_lambda1(L5, 2)
@@ -240,9 +257,10 @@ def test_direct_zero_tests_every_code_once(z3_5_pair, monkeypatch):
     verdicts = pair_verdicts_direct(o1, l1)
     assert len(verdicts) == 18336 and verdicts.all() and rows == [243]
     assert verify_ortho_lattice(o1, l1).valid and rows == [243, 243]
-    bad = lattice._nonvanishing_codes(o1, 6)
-    assert len(bad) == 213 and bad[0] == 0
-    assert np.array_equal(bad, np.flatnonzero(~vanishing_table(o1, 6)))
+    table = lattice._nonvanishing_table(o1)
+    assert table.shape == (243,) and table.sum() == 213 and table[0]
+    codes = lattice._codes(2 * GroupSpec.power(3, 5).coords[table], 6)
+    assert np.array_equal(codes, np.flatnonzero(~vanishing_table(o1, 6)))
 
 
 def test_table_guard_counts_phi_terms_per_point(monkeypatch):
@@ -268,13 +286,31 @@ def test_nonvanishing_codes_are_213_at_every_scale(z3_5_pair, m):
 
 
 def test_factorization_gives_213_codes_at_every_scale_the_command_admits(z3_5_pair):
-    # C(M e) over the base does not depend on M, so neither does |B|.
+    # C(M e) over the base does not depend on M, so neither does |B|: of the
+    # differences over 3M, B holds 213 of the multiples of M and no other.
     T5, _ = z3_5_pair
-    for m in range(1, 9):
-        bad = lattice._nonvanishing_codes(build_omega1(T5, m), 3 * m)
-        assert len(bad) == 213 and bad[0] == 0
-        digits = np.column_stack(np.unravel_index(bad, (3 * m,) * 5))
-        assert not (digits % m).any()  # inside {0, M, 2M}^5
+    every = GroupSpec.power(3, 5).coords
+    for m in range(1, 14):
+        table = lattice._nonvanishing_table(build_omega1(T5, m))
+        assert lattice._in_b(m * every, m, table).sum() == 213
+        assert lattice._in_b(m * every - 3 * m, m, table).sum() == 213
+        assert m == 1 or not lattice._in_b(m * every + 1, m, table).any()
+
+
+def test_table_is_the_complement_of_the_fourier_zero_set(z3_5_pair):
+    """The table is the complement of the base's Fourier zero set in Z_3^5,
+    213 codes with 0 among them; scaled by M they are the nonvanishing codes
+    of the dense oracle over Z_3M^5."""
+    T5, _ = z3_5_pair
+    g = GroupSpec.power(3, 5)
+    zeros = g.ranks(sorted(fourier_zero_set(g, T5)))
+    table = lattice._nonvanishing_table(build_omega1(T5, 1))
+    assert np.array_equal(np.flatnonzero(~table), zeros)
+    assert table.sum() == 213 and table[0]
+    for m in (1, 2, 3):
+        codes = lattice._codes(m * g.coords[table], 3 * m)
+        dense = vanishing_table(build_omega1(T5, m), 3 * m)
+        assert np.array_equal(codes, np.flatnonzero(~dense))
 
 
 def test_witness_from_the_code_lookups_at_m3(z3_5_pair):
@@ -370,12 +406,10 @@ def test_direct_matches_per_pair_sums_and_factored(sets):
 
 
 @st.composite
-def lifted_sets_any_denominator(draw):
+def lifted_sets_over_3m(draw):
     """A lifted set with n <= 3 and M <= 4 and frequencies from build_lambda1
-    over the denominator 3M or any of 1..40 (the rows reduced mod it), as
-    built, with rows shifted, with a row repeated, or cut to 0 or 1 rows;
-    the other denominators are where the residues of a geometric zero are
-    not the multiples of M, so the cell classes are not the l parts."""
+    over 3M, as built, with rows shifted, with a row repeated, or cut to 0
+    or 1 rows."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     cube = list(itertools.product(range(3), repeat=n))
     axis = st.lists(st.sampled_from(range(3)), min_size=1, unique=True)
@@ -386,8 +420,7 @@ def lifted_sets_any_denominator(draw):
         )
     )
     spec = draw(st.lists(st.sampled_from(cube), min_size=1, max_size=4, unique=True))
-    denom = draw(st.one_of(st.just(3 * m), st.integers(1, 40)))
-    nums = (build_lambda1(spec, m).numerators % denom).tolist()
+    denom, nums = 3 * m, build_lambda1(spec, m).numerators.tolist()
     kind = draw(st.sampled_from(["built", "shifted", "repeated", "cut"]))
     if kind == "shifted":
         shift = [draw(st.integers(0, denom - 1)) for _ in range(n)]
@@ -402,7 +435,7 @@ def lifted_sets_any_denominator(draw):
 
 
 @settings(deadline=None)
-@given(lifted_sets_any_denominator())
+@given(lifted_sets_over_3m())
 def test_factorized_routes_match_the_dense_table(sets):
     """Both routes that read B from the factorization agree with the oracle
     table over every point: the pair verdicts, and the certificate's verdict,
