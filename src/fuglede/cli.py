@@ -28,7 +28,6 @@ import sys
 from pathlib import Path
 
 from . import spectra, tiling
-from .cyclotomic import MAX_ORDER
 from .groups import GroupSpec, element_set_from_json, element_set_to_json
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -44,21 +43,18 @@ def _finite_counterexample(variant: str):
     return hadamard.descend(*found) if variant in ("z2-11", "z3-5") else found
 
 
-def _lifted_pair(m: int, variant: str):
-    """Omega_1 and Lambda_1 at scale m, refused before anything is built if
-    the kernel refuses the order 3m or if TABLE_BUDGET cannot hold two int64
-    copies of the 6·m^5 frequency rows (the sort's) and two int64 codes per
-    row.  Every lift is charged the same, so each is refused from m = 14."""
+def _lifted_pair(m: int, what: str):
+    """Omega_1 and Lambda_1 at scale m, built only if TABLE_BUDGET holds the int64
+    words kept per frequency row, 6·m^5 rows: 2n + 2 for a certificate (row, sort
+    copy, 2 codes), 4n + 1 for export (row, point, CubeUnion's 2 copies, sort index)."""
     from . import lattice
 
-    if 3 * m > MAX_ORDER:
-        raise ValueError(f"--m {m}: root order 3M = {3 * m} exceeds {MAX_ORDER}")
     g5, t5, l5 = _finite_counterexample("z3-5")
-    n, budget = g5.ndim, lattice.TABLE_BUDGET
-    if (need := 8 * len(l5) * m**n * (2 * n + 2)) > budget:
+    words = 4 * g5.ndim + 1 if what == "export" else 2 * g5.ndim + 2
+    if (need := 8 * len(l5) * m**g5.ndim * words) > lattice.TABLE_BUDGET:
         raise ValueError(
-            f"--m {m}: the {variant} certificate needs about {need >> 20} MiB, "
-            f"beyond its {budget >> 20} MiB budget"
+            f"--m {m}: {what} needs about {need >> 20} MiB, "
+            f"beyond its {lattice.TABLE_BUDGET >> 20} MiB budget"
         )
     return lattice.build_omega1(t5, m), lattice.build_lambda1(l5, m)
 
@@ -94,7 +90,7 @@ def cmd_counterexample(args) -> tuple[bool, dict, list[str]]:
     else:
         from . import lattice
 
-        omega1, lambda1 = _lifted_pair(args.m, args.variant)
+        omega1, lambda1 = _lifted_pair(args.m, f"the {args.variant} certificate")
         obstruction = lattice.torus_non_tiling(omega1)
         payload["m"] = args.m
         # The lift has #base·M^n distinct points, one unit cube each in Omega_2.

@@ -7,8 +7,8 @@ over the cell index, and the character sum over the base cell.  c vanishes
 exactly at nonzero integers and a geometric sum exactly where its ratio is
 a nontrivial root of unity of order dividing M, so no numeric evaluation is
 needed: an axis settles the pair, or the exact test of the #base-term cell
-sum does.  Pairs are decided, and exported rows written, in numpy blocks of
-_BLOCK, so no Python list of every pair or every row is built."""
+sum, at delta/M in Z_3^n, does.  Pairs are decided, and exported rows
+written, in numpy blocks of _BLOCK: no list of every pair or row is built."""
 
 from __future__ import annotations
 
@@ -113,19 +113,19 @@ def verify_spectrum_truncation(
     Frequency f is numerator f // S plus shift f % S, n digits base 2K+1 that
     are the coordinates plus K.  ValueError unless the denominator is 3M:
     then numerators that differ mod M on an axis (different keys) meet a
-    geometric zero.  Pairs are decided in blocks; of those whose keys agree,
-    one with a vanishing cube factor is orthogonal, and the rest take one
-    batched cell sum per block, symmetric in the pair (at -delta it is the
-    conjugate).  A repeated frequency (eta = 0) fails that sum.
+    geometric zero, and where the keys agree delta = M d with d in Z_3^n.  Of
+    those, a pair with a vanishing cube factor is orthogonal; the rest take one
+    batched cell sum over Z_3 per block, at d, symmetric in the pair (at -d it
+    is the conjugate).  A repeated frequency (eta = 0) fails that sum.
     """
     if k_radius < 0:
         raise ValueError("k_radius must be >= 0")
-    nums, denom = _lifted_rows(omega1, lambda1), lambda1.denominator
+    nums, denom, m = _lifted_rows(omega1, lambda1), lambda1.denominator, omega1.m
     side = (2 * k_radius + 1,) * omega1.dimension
     count = len(nums) * (per := side[0] ** omega1.dimension)
     sampled = count * (count - 1) // 2 > pair_budget
     blocks = _sampled_pairs(count, pair_budget, 0) if sampled else _all_pairs(count)
-    key = _codes(nums, omega1.m)
+    key = _codes(nums, m)
     cell, checked = LatticeSet(omega1.base, 1), 0
     for i, j in blocks:
         ok = key[i // per] != key[j // per]  # an axis differs mod M: a zero
@@ -137,7 +137,7 @@ def verify_spectrum_truncation(
         moved = [a != b for a, b in np.unravel_index(shift, side)]  # per axis
         ok[same] = ((delta.T == 0) & moved).any(axis=0)
         dead = ~ok[same]
-        ok[same[dead]] = vanishing(character_sum_lattice(cell, delta[dead], denom))
+        ok[same[dead]] = vanishing(character_sum_lattice(cell, delta[dead] // m, 3))
         if not ok.all():
             first = int(np.argmin(ok))
             num, shift = np.divmod([i[first], j[first]], per)

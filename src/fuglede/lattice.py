@@ -30,7 +30,7 @@ from .groups import GroupSpec
 from .tiling import DivisibilityObstruction
 
 Point = tuple[int, ...]
-TABLE_BUDGET = 1 << 28  # bytes for a lift's frequency rows and codes
+TABLE_BUDGET = 1 << 28  # bytes for a lift's rows and codes, or export's copies
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,13 @@ class LatticeSet:
 
 def int64_rows(rows, what: str) -> np.ndarray:
     """A read-only 2-D int64 copy of rows, (0, 0) if empty; ValueError unless
-    every entry is an integer that int64 holds exactly."""
-    out = np.array(rows) if len(rows) else np.zeros((0, 0), dtype=np.int64)
-    if out.ndim != 2 or out.size and not np.can_cast(out.dtype, np.int64):
+    they have one length and each entry is an integer, no bool, that int64 holds."""
+    try:
+        out = np.array(rows) if len(rows) else np.zeros((0, 0), dtype=np.int64)
+    except ValueError:  # rows of different lengths
+        out = np.zeros(0)
+    exact = out.dtype != bool and np.can_cast(out.dtype, np.int64)
+    if out.ndim != 2 or out.size and not exact:
         raise ValueError(f"{what} must be rows of integers")
     out = out.astype(np.int64, copy=False)
     out.flags.writeable = False
@@ -94,12 +98,12 @@ class OrthoResult(NamedTuple):
 
 def _checked_base(base: Iterable[Point], what: str) -> tuple[Point, ...]:
     """Sorted distinct points of a nonempty subset of {0,1,2}^n."""
-    base = tuple(sorted(set(base)))
-    if not base:
+    rows = int64_rows(list(base), what)
+    if not len(rows):
         raise ValueError(f"{what} must be nonempty")
-    if any(not all(0 <= c <= 2 for c in b) for b in base):
+    if ((rows < 0) | (rows > 2)).any():
         raise ValueError(f"{what} coordinates must lie in {{0,1,2}}")
-    return base
+    return tuple(sorted(set(map(tuple, rows.tolist()))))
 
 
 def _lift(base: np.ndarray, m_scale: int, step: int) -> np.ndarray:

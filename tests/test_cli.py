@@ -1,17 +1,23 @@
+import argparse
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fuglede
-from fuglede import continuum, lattice, tiling
-from fuglede.cli import _finite_counterexample, main
+from fuglede import cli, continuum, lattice, tiling
+from fuglede.cli import _finite_counterexample, build_parser, main
 
 
 def run(capsys, *argv):
@@ -242,10 +248,14 @@ def test_out_of_memory_is_bad_input(capsys, monkeypatch, tmp_path, stage, argv):
     assert not (tmp_path / "unused.json").exists()
 
 
-def test_lattice_scale_past_the_table_budget_exits_at_once(capsys, monkeypatch):
-    """From --m 14 the frequency rows, their copies and codes would pass the
-    budget: exit 2 in under 1 s, before a point or a frequency is built.
-    --m 13 gets past the guard."""
+def test_lattice_scale_past_the_table_budget_exits_at_once(
+    capsys, monkeypatch, tmp_path
+):
+    """Every lift command has one refusal, the row charge: a certificate
+    (lattice, continuum) from --m 14, export, which also holds the points and
+    CubeUnion's copies, from --m 13.  A refused scale exits 2 in under 1 s,
+    before a point or a frequency is built or a file is opened; the largest
+    admitted scale gets past the guard."""
     built = []
 
     def stop(base, m):
@@ -254,23 +264,39 @@ def test_lattice_scale_past_the_table_budget_exits_at_once(capsys, monkeypatch):
 
     for name in ("build_omega1", "build_lambda1"):
         monkeypatch.setattr(lattice, name, stop)
-    for m, need in ((14, 295), (16, 576), (21, 2243)):
-        argv = ["counterexample", "lattice", "--m", str(m)]
-        message = (
-            f"--m {m}: the lattice certificate needs about {need} MiB, "
-            "beyond its 256 MiB budget"
-        )
-        start = time.perf_counter()
-        code, out = run(capsys, "--json", *argv)
-        assert time.perf_counter() - start < 1
-        assert code == 2 and json.loads(out) == {"error": message}
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and captured.err == f"error: {message}\n"
-    assert built == []
-    code, out = run(capsys, "--json", "counterexample", "lattice", "--m", "13")
-    assert code == 2 and json.loads(out) == {"error": "stopped after the scale guard"}
-    assert built == [13]
+    monkeypatch.chdir(tmp_path)
+    # MiB charged at each refused scale: 6·m^5 rows of 12 int64 words for a
+    # certificate, of 21 for export.
+    certificate = {14: 295, 16: 576, 21: 2243, 22: 2830}
+    for command, label, refused, admitted in (
+        (["counterexample", "lattice"], "the lattice certificate", certificate, 13),
+        (["counterexample", "continuum"], "the continuum certificate", certificate, 13),
+        (
+            ["export", "--out", "big.json"],
+            "export",
+            {13: 356, 14: 517, 16: 1008, 21: 3926, 22: 4954},
+            12,
+        ),
+    ):
+        for m, need in refused.items():
+            argv = [*command, "--m", str(m)]
+            message = f"--m {m}: {label} needs about {need} MiB, "
+            message += "beyond its 256 MiB budget"
+            start = time.perf_counter()
+            code, out = run(capsys, "--json", *argv)
+            assert time.perf_counter() - start < 1
+            assert code == 2 and json.loads(out) == {"error": message}
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        assert built == []
+        code, out = run(capsys, "--json", *command, "--m", str(admitted))
+        assert code == 2
+        assert json.loads(out) == {"error": "stopped after the scale guard"}
+        assert built == [admitted]
+        built.clear()
+    assert not (tmp_path / "big.json").exists()
 
 
 def test_corrupted_matrix_fails(capsys, tmp_path):
@@ -325,15 +351,26 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
             None, ["counterexample", "continuum", "--k-radius", "-1"], 2, "--k-radius",
             id="None-argv7-2---k-radius",
         ),
+        # The ids of the next two name the root-order refusal that these scales
+        # met before the row charge became the only refusal of a lift scale.
         pytest.param(
-            None, ["counterexample", "lattice", "--m", "22"], 2, "root order 3M = 66",
+            None,
+            ["counterexample", "lattice", "--m", "22"],
+            2,
+            "--m 22: the lattice certificate needs about 2830 MiB, "
+            "beyond its 256 MiB budget",
             id="None-argv8-2-root order 3M = 66",
         ),
         pytest.param(
-            None, ["counterexample", "continuum", "--m", "22"], 2, "root order 3M = 66",
+            None,
+            ["counterexample", "continuum", "--m", "22"],
+            2,
+            "--m 22: the continuum certificate needs about 2830 MiB, "
+            "beyond its 256 MiB budget",
             id="None-argv9-2-root order 3M = 66",
         ),
-        # The rows of Lambda_1 alone would pass the 256 MiB budget from --m 14.
+        # A certificate's rows, sort copy and codes pass the 256 MiB budget from
+        # --m 14.
         pytest.param(
             None,
             ["counterexample", "continuum", "--m", "14"],
@@ -350,12 +387,13 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
             "beyond its 256 MiB budget",
             id="continuum --m 21 past the row budget",
         ),
-        # export is charged the same rows and codes, before the file is opened.
+        # export is charged for its rows, points and CubeUnion's copies, before
+        # the file is opened.
         pytest.param(
             None,
             ["export", "--m", "14", "--out", "big.json"],
             2,
-            "--m 14: the export certificate needs about 295 MiB, "
+            "--m 14: export needs about 517 MiB, "
             "beyond its 256 MiB budget",
             id="export --m 14 past the row budget",
         ),
@@ -363,7 +401,7 @@ def test_corrupted_matrix_fails(capsys, tmp_path):
             None,
             ["export", "--m", "21", "--out", "big.json"],
             2,
-            "--m 21: the export certificate needs about 2243 MiB, "
+            "--m 21: export needs about 3926 MiB, "
             "beyond its 256 MiB budget",
             id="export --m 21 past the row budget",
         ),
@@ -875,3 +913,161 @@ def test_lattice_builds_no_point_set_of_the_lift(capsys, monkeypatch):
     code, out = run(capsys, "--json", *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+# The exit contract, with argv generated from the parser.  Each argument of
+# each subcommand has boundary values (drawn, refused): a refused value must
+# end in exit 2 wherever it is given.  Every value is cheap: scan orders are
+# at most 12 or above 24, lift scales 1, 2 or refused by the row charge, and a
+# counterexample always gets a --pair-budget of at most 1000.
+_NOT_AN_INTEGER = ["x", "", "9" * 5000]
+_SCAN_ORDERS = {"2": 2, "4": 4, "6": 6, "8": 8, "12": 12, "2x2": 4, "2x6": 12, "3^2": 9}
+_SETS = ["{0,1}", "{0,2}", "{0}", "{}", "{x}", "{99}", "[[0],[1]]", "[[0.5]]", "[1,2]"]
+_SETS += ["[", "{dir}/set.json", "{dir}/missing.json"]
+_CONTRACT_VALUES = {
+    ("counterexample", "m"): (
+        ["1", "2", "14", "16", "21", "22", "1000000"],
+        ["0", "-1", *_NOT_AN_INTEGER],
+    ),
+    ("counterexample", "k_radius"): (
+        ["0", "1", "2", "40", "1000000000"],
+        ["-1", *_NOT_AN_INTEGER],
+    ),
+    ("counterexample", "pair_budget"): (["1", "2", "1000"], ["0", "-1", *_NOT_AN_INTEGER]),
+    ("scan", "group"): (
+        list(_SCAN_ORDERS),
+        ["0", "1", "25", "5x5", "2^200000", "3x2^-1", "x", "7" * 4400],
+    ),
+    ("scan", "size"): (["1", "2", "3", "9", "13", "25"], ["0", "-1", *_NOT_AN_INTEGER]),
+    ("verify", "matrix"): (
+        ["h6", "h12", "{dir}/h6.json", "{dir}/h6-broken.json"],
+        ["{dir}/missing.json", "{dir}/bad.json", "{dir}/list.json"],
+    ),
+    ("verify", "group"): (["4", "6", "2x2", "1", "x"], []),
+    ("verify", "set"): (_SETS, []),
+    ("verify", "spectrum"): (_SETS, []),
+    ("verify", "complement"): (_SETS, []),
+    ("export", "m"): (["1", "2"], ["0", "-1", *_NOT_AN_INTEGER, "13", "14", "22"]),
+    ("export", "out"): (["{dir}/out.json"], ["{dir}/missing/out.json"]),
+    ("density", "m"): (["1", "2", "16", "1000000"], ["0", "-1", *_NOT_AN_INTEGER]),
+    ("density", "l"): (["1", "2", "3", "8", "1000000"], ["0", "-1", *_NOT_AN_INTEGER]),
+    ("density", "stride"): (["1", "4", "1000000"], ["0", "-1", *_NOT_AN_INTEGER]),
+}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return sub.choices
+
+
+def _arguments(command: str) -> list[argparse.Action]:
+    """The subcommand's arguments; -h exits through argparse by design."""
+    actions = _subcommands()[command]._actions
+    return [a for a in actions if not isinstance(a, argparse._HelpAction)]
+
+
+def test_the_exit_contract_has_values_for_every_argument():
+    named = {
+        (command, a.dest)
+        for command in _subcommands()
+        for a in _arguments(command)
+        if not a.choices
+    }
+    assert named == set(_CONTRACT_VALUES)
+
+
+def _refused_together(command: str, given: dict[str, str]) -> bool:
+    """A lift scale past the row charge, or a scan --size above the order."""
+    if command == "counterexample" and given["variant"] in ("lattice", "continuum"):
+        return int(given.get("m", "2")) >= 14
+    if command == "scan" and given.get("group") in _SCAN_ORDERS and "size" in given:
+        return int(given["size"]) > _SCAN_ORDERS[given["group"]]
+    return False
+
+
+@st.composite
+def _contract_argv(draw):
+    """(argv, command, refused), with {dir} standing for the test files."""
+    argv = ["--json"] if draw(st.booleans()) else []
+    command = draw(st.sampled_from([*_subcommands(), "bogus", None]))
+    if command not in _subcommands():
+        return argv + ([command] if command else []), None, True
+    given, positionals, options, refused = {}, [], [], False
+    for action in _arguments(command):
+        if action.choices:
+            drawn, bad = list(action.choices), ["bogus"]
+        else:
+            drawn, bad = _CONTRACT_VALUES[command, action.dest]
+        if action.dest == "pair_budget":  # so no continuum checks over 1000 pairs
+            given_at_all = True
+        elif action.required:  # positionals and --out, left out now and then
+            given_at_all = draw(st.integers(0, 3)) > 0
+        else:
+            given_at_all = draw(st.booleans())
+        if not given_at_all:
+            refused |= action.required
+            continue
+        value = draw(st.sampled_from(drawn + bad))
+        refused |= value in bad
+        given[action.dest] = value
+        if action.option_strings:
+            options.append([action.option_strings[0], value])
+        else:
+            positionals.append(value)
+    refused = refused or _refused_together(command, given)
+    options = draw(st.permutations(options))
+    return [*argv, command, *positionals, *sum(options, [])], command, refused
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    from fuglede.hadamard import paper_h6
+
+    files = tmp_path_factory.mktemp("contract")
+    h6 = paper_h6().to_json()
+    (files / "h6.json").write_text(json.dumps(h6))
+    h6["logs"][1][1] = (h6["logs"][1][1] + 1) % h6["q"]
+    (files / "h6-broken.json").write_text(json.dumps(h6))
+    (files / "bad.json").write_text("{not json")
+    (files / "list.json").write_text("[[0, 0], [0, 1]]")
+    (files / "set.json").write_text("[[0], [2]]")
+    return files
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_contract_argv(), out_of_memory=st.sampled_from([False] * 3 + [True]))
+def test_every_argv_keeps_the_exit_contract(contract_dir, case, out_of_memory):
+    """main returns 0, 1, 2 or 3 and raises nothing; under --json its last
+    stdout line is one JSON object, with "error" exactly on 2 and 3.  A
+    refused argument, or a command that runs out of memory, exits 2.  Lambda_1
+    is never built past --m 2, so a scale that the row charge should refuse
+    fails here instead of allocating."""
+    argv, command, refused = case
+    argv = [a.replace("{dir}", str(contract_dir)) for a in argv]
+    build_lambda1 = lattice.build_lambda1
+
+    def cheap_only(base, m):
+        assert m <= 2, f"Lambda_1 built at --m {m}"
+        return build_lambda1(base, m)
+
+    def no_memory(args):
+        raise MemoryError("Unable to allocate 1.00 PiB for an array")
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(lattice, "build_lambda1", cheap_only))
+        if out_of_memory and command:
+            stack.enter_context(mock.patch.object(cli, f"cmd_{command}", no_memory))
+        stack.enter_context(contextlib.redirect_stdout(stdout))
+        stack.enter_context(contextlib.redirect_stderr(stderr))
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if refused or (out_of_memory and command):
+        assert code == 2
+    if argv[:1] == ["--json"]:
+        payload = json.loads(stdout.getvalue().splitlines()[-1])
+        assert isinstance(payload, dict) and ("error" in payload) == (code in (2, 3))
+    elif code in (2, 3):
+        assert stderr.getvalue().startswith("error: ")

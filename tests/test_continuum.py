@@ -280,8 +280,8 @@ def test_sampled_pairs_reject_counts_of_33_bits():
 
 def test_truncation_memory_is_flat_in_the_radius():
     # Shifts are decoded from the frequency index and the verdicts need only
-    # a table over the residues mod 3M, so K = 8 (6 * 17^5 frequencies) needs
-    # no shift array.
+    # the numerators' keys mod M and cell sums over Z_3, so K = 8 (6 * 17^5
+    # frequencies) needs no shift array.
     o1, l1 = lifted_pair(1)
     tracemalloc.start()
     try:
@@ -295,13 +295,15 @@ def test_truncation_memory_is_flat_in_the_radius():
 
 def test_pairs_are_decided_from_the_factors_without_points(monkeypatch):
     """Axes settle most pairs; the rest of a block take one batched sum over
-    the base cell (M = 1), in at most one call for each of the 25 blocks of
-    4,096 pairs, with no scalar zero test and no point set of the lift."""
+    the base cell (M = 1) in Z_3, in at most one call for each of the 25
+    blocks of 4,096 pairs, with no scalar zero test and no point set of the
+    lift."""
     o1, l1 = lifted_pair(2)
-    cells = []
+    cells, denoms = [], []
 
     def recording(omega1, deltas, denom):
         cells.append(omega1.m)
+        denoms.append(denom)
         return character_sum_lattice(omega1, deltas, denom)
 
     def scalar(self):
@@ -312,7 +314,7 @@ def test_pairs_are_decided_from_the_factors_without_points(monkeypatch):
     result = verify_spectrum_truncation(o1, l1, 1, pair_budget=100_000)
     assert result.valid and result.pairs_checked == 100_000
     assert continuum._BLOCK == 4096 and 0 < len(cells) <= 25
-    assert set(cells) == {1}
+    assert set(cells) == {1} and set(denoms) == {3}
     assert "points" not in vars(o1)
 
 

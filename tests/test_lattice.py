@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fuglede import cyclotomic, lattice
-from fuglede.continuum import verify_spectrum_truncation
+from fuglede.continuum import CubeUnion, verify_spectrum_truncation
 from fuglede.cyclotomic import CyclotomicInt, vanishing
 from fuglede.groups import GroupSpec
 from fuglede.hadamard import descend, paper_h6, spectrum_from_butson
@@ -89,6 +89,40 @@ def test_build_omega1_singleton_base():
     assert as_tuples(o1.points) == {
         (3 * a, 3 * b) for a in range(3) for b in range(3)
     }
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rows: build_omega1(rows, 1),
+        lambda rows: build_lambda1(rows, 1),
+        lambda rows: FrequencySet(3, rows),
+        CubeUnion,
+    ],
+    ids=["build_omega1", "build_lambda1", "FrequencySet", "CubeUnion"],
+)
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(0.5, 1), (1, 2)],  # a float is refused, not cut to 0
+        [(True, False)],
+        np.array([[True, False], [False, True]]),
+        [(0, 0), (1,)],
+    ],
+    ids=["float", "bool", "bool-array", "ragged"],
+)
+def test_rows_of_points_must_be_integers(make, rows):
+    with pytest.raises(ValueError, match="must be rows of integers"):
+        make(rows)
+
+
+def test_base_points_keep_their_range_and_emptiness_messages():
+    for build in (build_omega1, build_lambda1):
+        with pytest.raises(ValueError, match=r"coordinates must lie in \{0,1,2\}"):
+            build([(0, 3)], 1)
+        with pytest.raises(ValueError, match="must be nonempty"):
+            build([], 1)
+    assert build_omega1([(2, 1), (0, 0), (2, 1)], 1).base == ((0, 0), (2, 1))
 
 
 def test_build_lambda1_sizes(z3_5_pair):
