@@ -1,13 +1,13 @@
 """Command-line front end: build the counterexample pipeline, scan small
 groups, verify user-supplied certificates, export geometry.
 
-Each cmd_* returns (ok, payload, lines) and prints only scan's streamed
-records; main alone prints the report or error and picks the exit status:
-0 when every verification in the invoked pipeline passes, 1 when one fails,
-2 on bad input or out of memory, 3 when a search node budget runs out.  With
---json the output is deterministic machine-readable JSON on every path,
-including failures.  On exit 3, scan has already printed the records it made
-before the budget ran out.
+Each cmd_* returns (ok, payload, lines) and prints only scan's records, which
+it streams per block of classes (one write each); main alone prints the report
+or error and picks the exit status: 0 when every verification in the invoked
+pipeline passes, 1 when one fails, 2 on bad input or out of memory, 3 when a
+search node budget runs out.  With --json the output is deterministic
+machine-readable JSON on every path, including failures.  On exit 3, scan has
+already printed the records it made before the budget ran out.
 
 Each command imports the modules it runs when it runs: `scan` loads only
 `cyclotomic`, `groups`, `tiling` and `spectra`, and the lattice and density
@@ -25,6 +25,7 @@ import argparse
 import gc
 import json
 import sys
+from itertools import compress
 from pathlib import Path
 
 from . import spectra, tiling
@@ -171,24 +172,46 @@ def scan_line_writer(g: GroupSpec):
     return line
 
 
+def settled_line_writer(g: GroupSpec, line, as_json: bool):
+    """(membership rows over ranks, #T of each) -> line(record) of each class
+    as if no search reached it: the text of its members, made once per scan,
+    between the ends of the line of its record, which #T fixes, with no members."""
+    order, sep, xs = g.order, "," if as_json else ", ", g.coords.tolist()
+    text = [f"[{sep.join(map(str, x))}]" if as_json else repr(tuple(x)) for x in xs]
+    empty, ends = spectra.ScanRecord((), False, False), []
+    for k in range(order + 1):
+        ob = tiling.DivisibilityObstruction(k, order) if k and order % k else None
+        ends.append(line(empty._replace(obstruction=ob)).split("[]"))
+    return lambda rows, ks: [
+        f"[{sep.join(compress(text, row))}]".join(ends[k]) for row, k in zip(rows, ks)
+    ]
+
+
 def cmd_scan(args) -> tuple[bool, dict, list[str]]:
     g = GroupSpec.from_descriptor(args.group)
     if (args.size or 0) > (order := spectra.scan_order(g)):  # before g.coords
         raise ValueError(f"--size {args.size} exceeds the group order {order}")
-    summary = spectra.ScanSummary()
-    write, line = sys.stdout.write, scan_line_writer(g)
-    for rec in spectra.scan_records(g, size_filter=args.size):
-        summary.add(rec)
-        if args.json:
-            write(line(rec) + "\n")
-        else:
-            print(f"set {list(rec.elements)}: spectral={rec.spectral} tiles={rec.tiles}")
+    line = scan_line_writer(g) if args.json else lambda rec: (
+        f"set {list(rec.elements)}: spectral={rec.spectral} tiles={rec.tiles}"
+    )
+    summary, settled = spectra.ScanSummary(), settled_line_writer(g, line, args.json)
+    # One write per block, of the lines before the class whose budget runs out.
+    for rows, sizes, reached, record in spectra._scan_blocks(g, args.size):
+        lines = settled(rows, sizes)
+        try:
+            for end in reached:
+                summary.add(rec := record(end))
+                lines[end] = line(rec)
+            end = len(lines)
+        finally:
+            sys.stdout.write("\n".join(lines[:end] + [""]))
+        summary.classes += len(rows) - len(reached)
     total = (
         f"scanned {summary.classes} classes of Z_{g}: "
         f"{len(summary.spectral_non_tiles)} spectral non-tiles, "
         f"{len(summary.tiles_non_spectral)} tiles non-spectral"
     )
-    return True, summary.to_json(), [total]
+    return True, vars(summary), [total]
 
 
 def _load_set(g: GroupSpec, text: str):

@@ -61,6 +61,8 @@ def int64_rows(rows, what: str) -> np.ndarray:
     except ValueError:  # rows of different lengths
         out = np.zeros(0)
     exact = out.dtype != bool and np.can_cast(out.dtype, np.int64)
+    if out.ndim == 2 and not isinstance(rows, np.ndarray):  # [[True, 2]] reads as ints
+        exact &= {bool, np.bool_}.isdisjoint(map(type, itertools.chain(*rows)))
     if out.ndim != 2 or out.size and not exact:
         raise ValueError(f"{what} must be rows of integers")
     out = out.astype(np.int64, copy=False)

@@ -10,6 +10,7 @@ and the scan work on element ranks; tuples appear only in results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress, islice
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -157,17 +158,6 @@ class ScanSummary:
         if rec.tiles and not rec.spectral:
             self.tiles_non_spectral.append(rec.elements)
 
-    def to_json(self) -> dict:
-        return {
-            "classes": self.classes,
-            "spectral_non_tiles": [
-                [list(x) for x in s] for s in self.spectral_non_tiles
-            ],
-            "tiles_non_spectral": [
-                [list(x) for x in s] for s in self.tiles_non_spectral
-            ],
-        }
-
 
 def scan_order(g: GroupSpec) -> int:
     """The order of g, or ValueError above SCAN_ORDER_LIMIT.  The product
@@ -183,12 +173,9 @@ def scan_order(g: GroupSpec) -> int:
     return order
 
 
-def _class_blocks(
-    g: GroupSpec, size_filter: Optional[int]
-) -> Iterator[tuple[list[tuple[Element, ...]], np.ndarray]]:
+def _class_blocks(g: GroupSpec, size_filter: Optional[int]) -> Iterator[np.ndarray]:
     """The canonical classes in increasing mask order, at most _CLASS_BLOCK
-    per block, as element tuples in rank order, with their bool membership
-    rows over ranks.
+    per block, as bool membership rows over ranks.
 
     A mask containing 0 is canonical when no translate by -x, x in the
     mask, has a smaller mask.  With weight[r, x] = 2^rank(r - x), row c of
@@ -198,26 +185,21 @@ def _class_blocks(
     integer up to 2^24).  The zero rows are float32 too: one BLAS routine.
     """
     n = scan_order(g)
-    elements = list(map(tuple, g.coords.tolist()))  # shared by all classes
     diffs = (g.coords[:, None] - g.coords) % g.moduli
     weight = np.ldexp(np.float32(1), g.ranks(diffs.reshape(-1, g.ndim)).reshape(n, n))
     if size_filter is None:
         bodies: Iterator[int] = iter(range(1 << (n - 1)))
     else:
         bodies = _masks_with_popcount(n - 1, size_filter - 1)
-    ranks = np.arange(n)
     while len(block := np.fromiter(islice(bodies, _MASK_BLOCK), dtype=np.int64)):
         masks = (block << 1) | 1  # subsets containing 0
-        member = (masks[:, None] >> ranks & 1).astype(bool)
+        octets = masks.astype("<u4").view(np.uint8).reshape(-1, 4)  # little-endian
+        member = np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
         # Only translates by -x for x in the mask count; x = 0 changes nothing.
         smaller = member @ weight < masks[:, None].astype(np.float32)
         member = member[~(member & smaller).any(axis=1)]
         for lo in range(0, len(member), _CLASS_BLOCK):
-            chunk = member[lo : lo + _CLASS_BLOCK]
-            # Through a list, so each tuple is made at its final size: tuples
-            # resized while built would pile up in CPython's tuple free lists.
-            classes = [tuple(list(compress(elements, row))) for row in chunk.tolist()]
-            yield classes, chunk
+            yield member[lo : lo + _CLASS_BLOCK]
 
 
 def _masks_with_popcount(width: int, ones: int) -> Iterator[int]:
@@ -231,57 +213,61 @@ def _masks_with_popcount(width: int, ones: int) -> Iterator[int]:
         mask = (((mask + low) ^ mask) >> 2) // low | (mask + low)
 
 
-def _record(elements, spec: SpectrumSearch, tile: tiling.TilingResult) -> ScanRecord:
-    return ScanRecord(
-        elements, spec.spectral, tile.tiles,
-        spec.spectrum, tile.complement, tile.obstruction,
-    )
+def _scan_blocks(g: GroupSpec, size_filter: Optional[int]) -> Iterator[tuple]:
+    """Per class block: the membership rows over ranks, the sizes, the indices
+    of the classes that reach a search, and record(i), which makes the record
+    of class i and runs its searches.  Only a class with #T > 1 and at least
+    #T - 1 Fourier zeros reaches find_spectrum, and only one whose #T divides
+    the order and whose cover search outlives its first node reaches find_tiling."""
+    order, m = scan_order(g), g.exponent
+    elements = list(map(tuple, g.coords.tolist()))
+    # add[x, y]: the rank of (element x) + (element y); T's columns translate T.
+    sums = (g.coords[:, None] + g.coords) % g.moduli
+    add = g.ranks(sums.reshape(-1, g.ndim)).reshape(order, order)
+    sub = add[:, add.argmin(axis=0)]  # sub[x, y]: the rank of x - y
+    # chars[x, (d, e)]: coefficient e of omega_m ** pairing(d, x) mod Phi_m, in
+    # {-1, 0, 1}; member @ chars sums at most order <= 24 of them, and @ fold
+    # sums the squares of those sums over e: both exact in float32.
+    pairing = g.pairing_points(g.coords) @ g.coords.T % m
+    chars = reduction_matrix(m)[pairing].reshape(order, -1).astype(np.float32)
+    fold = np.repeat(np.eye(order, dtype=np.float32), chars.shape[1] // order, axis=0)
+    # The verdicts of the searches that a class does not reach; the first by #T == 1.
+    unsearched = SpectrumSearch(False), SpectrumSearch(True, (g.identity(),))
+    not_tiling = tiling.TilingResult(False)
+
+    def record(rows, zeros, search, cover, i: int) -> ScanRecord:
+        # Through a list: a tuple resized while built would stay in the free lists.
+        T = tuple(list(compress(elements, rows[i])))
+        spec = find_spectrum(g, T, zeros[i]) if search[i] else unsearched[len(T) == 1]
+        tile = tiling.find_tiling(g, T, add[:, rows[i]]) if cover[i] else not_tiling
+        ob = tiling.divisibility_check(g, T)
+        return ScanRecord(
+            T, spec.spectral, tile.tiles, spec.spectrum, tile.complement, ob
+        )
+
+    for member in _class_blocks(g, size_filter):
+        # Z(T) of the block: the sums whose remainders vanish; the sum at 0 is #T.
+        zeros = np.square(member @ chars) @ fold == 0
+        sizes = member.sum(axis=1)
+        search = (zeros.sum(axis=1) >= sizes - 1) & (sizes > 1)
+        # Of the classes whose #T divides the order, the cover search dies at
+        # node 1 when some c outside T has c - T in T - T: every translate
+        # covering c then meets T (cf. Coven-Meyerowitz, (A - A) & (B - B) = {0}).
+        cover = order % sizes == 0
+        t = member[cover]
+        diffs = (t[:, add] & t[:, None]).any(axis=2)  # T - T
+        cover[cover] = ~((diffs[:, sub] | ~t[:, None]).all(axis=2) > t).any(axis=1)
+        rows, reached = member.tolist(), np.flatnonzero(search | cover).tolist()
+        yield rows, sizes.tolist(), reached, partial(record, rows, zeros, search, cover)
 
 
 def scan_records(
     g: GroupSpec, size_filter: Optional[int] = None
 ) -> Iterator[ScanRecord]:
     """The record of every subset class, in canonical order, each made
-    when it is asked for.  Only a class with #T > 1 and at least #T - 1
-    Fourier zeros reaches find_spectrum, and only one whose #T divides the
-    order and whose cover search outlives its first node reaches
-    find_tiling; the rest get those functions' own results.
-    """
-    order, m = scan_order(g), g.exponent
-    # add[x, y]: the rank of (element x) + (element y); T's columns translate T.
-    sums = (g.coords[:, None] + g.coords) % g.moduli
-    add = g.ranks(sums.reshape(-1, g.ndim)).reshape(order, order)
-    sub = add[:, add.argmin(axis=0)]  # sub[x, y]: the rank of x - y
-    # chars[x, (d, e)]: coefficient e of omega_m ** pairing(d, x) mod Phi_m, in
-    # {-1, 0, 1}; member @ chars sums at most order <= 24 of them: exact.
-    pairing = g.pairing_points(g.coords) @ g.coords.T % m
-    chars = reduction_matrix(m)[pairing].reshape(order, -1).astype(np.float32)
-    # The results of find_spectrum and find_tiling that end by node 1, by #T.
-    alone, not_spectral = SpectrumSearch(True, (g.identity(),)), SpectrumSearch(False)
-    ended = {
-        k: tiling.TilingResult(False, None, tiling.DivisibilityObstruction(k, order))
-        if order % k else tiling.TilingResult(False, exhausted=True, nodes=1)
-        for k in range(1, order + 1)
-    }
-    for classes, member in _class_blocks(g, size_filter):
-        # Z(T) of the block: the sums whose remainders vanish; the sum at 0 is #T.
-        zeros = ~(member @ chars).reshape(len(member), order, -1).any(axis=2)
-        sizes = member.sum(axis=1)
-        search = (zeros.sum(axis=1) >= sizes - 1) & (sizes > 1)
-        # The cover search dies at node 1 when some c outside T has c - T in
-        # T - T: every translate covering c then meets T (cf. Coven-Meyerowitz,
-        # (A - A) & (B - B) = {0}).
-        diffs = (member[:, add] & member[:, None]).any(axis=2)  # T - T
-        dead = ((diffs[:, sub] | ~member[:, None]).all(axis=2) > member).any(axis=1)
-        cover = (order % sizes == 0) & ~dead
-        rows = zip(classes, member, zeros, *(a.tolist() for a in (sizes, search, cover)))
-        for T, row, zero, size, searched, covered in rows:
-            if searched:
-                spec = find_spectrum(g, T, zero)
-            else:
-                spec = alone if size == 1 else not_spectral
-            tile = tiling.find_tiling(g, T, add[:, row]) if covered else ended[size]
-            yield _record(T, spec, tile)
+    when it is asked for."""
+    for rows, _, _, record in _scan_blocks(g, size_filter):
+        yield from map(record, range(len(rows)))
 
 
 def fuglede_scan(
@@ -289,8 +275,7 @@ def fuglede_scan(
 ) -> tuple[list[ScanRecord], ScanSummary]:
     """Test both directions of the spectral/tiling correspondence over all
     subset classes and collect counterexamples."""
-    records = list(scan_records(g, size_filter))
-    summary = ScanSummary()
+    records, summary = list(scan_records(g, size_filter)), ScanSummary()
     for rec in records:
         summary.add(rec)
     return records, summary

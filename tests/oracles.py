@@ -14,7 +14,7 @@ from fuglede import tiling
 from fuglede.cyclotomic import CyclotomicInt, reduction_matrix
 from fuglede.groups import Element, GroupSpec
 from fuglede.lattice import FrequencySet, LatticeSet, Point
-from fuglede.spectra import ScanRecord, _class_blocks, _record, find_spectrum
+from fuglede.spectra import ScanRecord, _class_blocks, find_spectrum
 from fuglede.spectra import fourier_zero_set
 
 _EXACT = 1 << 24  # float32 holds every integer in [0, 2^24] exactly
@@ -163,11 +163,15 @@ def canonical_classes(
     read over element ranks.  With a size filter only the masks of that
     popcount are walked, in the same increasing order.
     """
-    for classes, _ in _class_blocks(g, size_filter):
-        yield from map(frozenset, classes)
+    elements = list(map(tuple, g.coords.tolist()))
+    for member in _class_blocks(g, size_filter):
+        yield from (frozenset(itertools.compress(elements, row)) for row in member.tolist())
 
 
 def scan_class(g: GroupSpec, T: frozenset[Element]) -> ScanRecord:
     """One class through both searches: the reference for scan_records."""
+    spec, tile = find_spectrum(g, T), tiling.find_tiling(g, T)
     elements = tuple(sorted(T))  # rank order is lexicographic order
-    return _record(elements, find_spectrum(g, T), tiling.find_tiling(g, T))
+    return ScanRecord(
+        elements, spec.spectral, tile.tiles, spec.spectrum, tile.complement, tile.obstruction
+    )

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuglede
-from fuglede import cli, continuum, lattice, tiling
+from fuglede import cli, continuum, lattice, spectra, tiling
 from fuglede.cli import _finite_counterexample, build_parser, main
+from fuglede.groups import GroupSpec
 
 
 def run(capsys, *argv):
@@ -542,6 +543,62 @@ def test_budget_exhausted_mid_scan_keeps_the_printed_records(capsys, monkeypatch
     # search ran out are already out, and equal the unbudgeted scan's.
     assert 0 < len(records) < len(full.splitlines()) - 1
     assert lines[:-1] == full.splitlines()[: len(records)]
+
+
+def test_budget_exhausted_mid_human_scan_keeps_the_printed_lines(capsys, monkeypatch):
+    argv = ["scan", "10", "--size", "4"]
+    _, full = run(capsys, *argv)
+    monkeypatch.setattr(tiling, "NODE_BUDGET", 1)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == "error: clique search exceeded 1 nodes\n"
+    # The lines before the class whose search ran out, exactly as unbudgeted.
+    lines = out.splitlines()
+    assert 0 < len(lines) < len(full.splitlines()) - 1
+    assert out == "".join(full.splitlines(keepends=True)[: len(lines)])
+
+
+@pytest.mark.parametrize("blocks", ["default", "small"])
+@pytest.mark.parametrize("descriptor", ["15", "2^4", "3x3", "12", "2x4"])
+def test_scan_block_route_matches_the_record_route(
+    capsys, monkeypatch, descriptor, blocks
+):
+    """cmd_scan writes a block's settled lines from membership rows; they,
+    the searched classes' lines and the summary must equal what the records
+    of spectra.scan_records give, line by line, in both formats."""
+    if blocks == "small":
+        monkeypatch.setattr(spectra, "_MASK_BLOCK", 7)
+        monkeypatch.setattr(spectra, "_CLASS_BLOCK", 3)
+    g = GroupSpec.from_descriptor(descriptor)
+    line = cli.scan_line_writer(g)
+    for size in [None, *range(1, g.order + 1)]:
+        records, summary = spectra.fuglede_scan(g, size)
+        by_size = [] if size is None else ["--size", str(size)]
+        code, out = run(capsys, "--json", "scan", descriptor, *by_size)
+        assert code == 0 and out.splitlines(keepends=True)[:-1] == [
+            f"{line(rec)}\n" for rec in records
+        ]
+        assert json.loads(out.splitlines()[-1]) == json.loads(json.dumps(vars(summary)))
+        human = [
+            f"set {list(rec.elements)}: spectral={rec.spectral} tiles={rec.tiles}\n"
+            for rec in records
+        ]
+        code, out = run(capsys, "scan", descriptor, *by_size)
+        assert code == 0 and out.splitlines(keepends=True)[:-1] == human
+        assert out.splitlines()[-1].startswith(f"scanned {summary.classes} classes")
+
+
+def test_scan_writes_once_per_block(monkeypatch):
+    """scan 15 --json writes its 2,191 records in one write per class block
+    (22), then main prints the summary; no class gets a write of its own."""
+    g = GroupSpec.cyclic(15)
+    blocks = sum(1 for _ in spectra._class_blocks(g, None))
+    writes = []
+    monkeypatch.setattr(sys, "stdout", mock.Mock(write=writes.append))
+    assert main(["--json", "scan", "15"]) == 0
+    summary = json.loads("".join(writes[blocks:]))
+    assert blocks == 22 and summary["classes"] == 2191
+    assert sum(chunk.count("\n") for chunk in writes[:blocks]) == 2191
 
 
 # SHA-256 of the --json stdout; a refactor must leave these bytes unchanged.

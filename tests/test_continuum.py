@@ -465,8 +465,13 @@ def test_point_sets_are_read_only_int64_arrays(lifted):
         lambda: FrequencySet(3, np.array([[0.7, 0.0]])),  # a float is not truncated
         lambda: FrequencySet(3.0, ((0, 1),)),
         lambda: CubeUnion(((0, 1.9), (0.5, 1))),
+        lambda: FrequencySet(3, [[True, 2]]),  # numpy would read it as [[1, 2]]
+        lambda: CubeUnion([[0, 1], [np.True_, 0]]),
     ],
-    ids=["ragged", "float-numerator", "float-denominator", "float-corner"],
+    ids=[
+        "ragged", "float-numerator", "float-denominator", "float-corner",
+        "bool-among-int-numerators", "bool-among-int-corners",
+    ],
 )
 def test_point_sets_reject_non_integer_rows(make):
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fuglede.cli import scan_line_writer
+from fuglede.cli import scan_line_writer, settled_line_writer
 from fuglede.cyclotomic import vanishing
 from fuglede.groups import GroupSpec
 from fuglede.hadamard import descend, paper_h6, paper_h12, spectrum_from_butson
@@ -469,9 +469,19 @@ def scan_record_cases(draw, present):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_scan_line_writer_is_json_dumps(present, data):
-    """Spectrum, complement and obstruction each present or absent."""
+    """Spectrum, complement and obstruction each present or absent.  The
+    settled line of the record's set, made from its membership row, is the
+    line of the record that #T fixes: not spectral, not tiling, obstructed
+    exactly when #T does not divide the order."""
     g, rec = data.draw(scan_record_cases(present))
-    assert scan_line_writer(g)(rec) == encode(record_oracle(rec))
+    line = scan_line_writer(g)
+    assert line(rec) == encode(record_oracle(rec))
+    members, k = set(rec.elements), len(rec.elements)
+    row = [x in members for x in map(g.unrank, range(g.order))]
+    ob = tiling.DivisibilityObstruction(k, g.order) if g.order % k else None
+    event("settled, obstructed" if ob else "settled, not obstructed")
+    settled = spectra.ScanRecord(tuple(sorted(members)), False, False, obstruction=ob)
+    assert settled_line_writer(g, line, True)([row], [k]) == [encode(record_oracle(settled))]
 
 
 def outcome(call):
