@@ -165,7 +165,8 @@ def canonical_classes(
     """
     elements = list(map(tuple, g.coords.tolist()))
     for member in _class_blocks(g, size_filter):
-        yield from (frozenset(itertools.compress(elements, row)) for row in member.tolist())
+        for row in member.tolist():
+            yield frozenset(itertools.compress(elements, row))
 
 
 def scan_class(g: GroupSpec, T: frozenset[Element]) -> ScanRecord:
@@ -173,5 +174,6 @@ def scan_class(g: GroupSpec, T: frozenset[Element]) -> ScanRecord:
     spec, tile = find_spectrum(g, T), tiling.find_tiling(g, T)
     elements = tuple(sorted(T))  # rank order is lexicographic order
     return ScanRecord(
-        elements, spec.spectral, tile.tiles, spec.spectrum, tile.complement, tile.obstruction
+        elements, spec.spectral, tile.tiles,
+        spec.spectrum, tile.complement, tile.obstruction,
     )

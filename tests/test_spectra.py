@@ -481,7 +481,8 @@ def test_scan_line_writer_is_json_dumps(present, data):
     ob = tiling.DivisibilityObstruction(k, g.order) if g.order % k else None
     event("settled, obstructed" if ob else "settled, not obstructed")
     settled = spectra.ScanRecord(tuple(sorted(members)), False, False, obstruction=ob)
-    assert settled_line_writer(g, line, True)([row], [k]) == [encode(record_oracle(settled))]
+    lines = settled_line_writer(g, line, True)([row], [k])
+    assert lines == [encode(record_oracle(settled))]
 
 
 def outcome(call):
