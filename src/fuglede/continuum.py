@@ -106,9 +106,9 @@ def verify_spectrum_truncation(
     {lambda + k : lambda in lambda1, |k|_inf <= k_radius}.
 
     A full quadratic pass when the pair count fits the budget, otherwise a
-    deterministic sample of pair indices, drawn with seed 0.  Orthogonality
-    only: completeness follows from the lattice certificate and
-    |Lambda_1| = #Omega_1, neither of which is checked here.
+    sample of int64 pair indices from seed 0, two 64-bit words per pair (so
+    at most 2^63 - 1 frequencies).  Orthogonality only: completeness follows
+    from the lattice certificate and |Lambda_1| = #Omega_1, unchecked here.
 
     Frequency f is numerator f // S plus shift f % S, n digits base 2K+1 that
     are the coordinates plus K.  ValueError unless the denominator is 3M:
@@ -161,36 +161,22 @@ def _all_pairs(count: int) -> Pairs:
 
 
 def _sampled_pairs(count: int, budget: int, seed: int) -> Pairs:
-    """`budget` seeded ordered pairs i != j in blocks of _BLOCK pairs: the
-    values of `randrange(count)` two at a time from `random.Random(seed)`,
-    a pair of equal draws skipped, decoded from its 32-bit words in numpy.
-
-    For count < 2^32 an attempt of `randrange(count)` is one word: its top
-    count.bit_length() bits, kept if below count.  `getrandbits(32 * w)`
-    holds the next w words, the first in the least significant bits
-    (CPython fills them so on either byte order), whatever the fetch sizes;
-    draws a block does not use are carried to the next.
-    """
-    if count.bit_length() > 32:
-        raise ValueError(f"cannot sample among {count} frequencies: at most 2^32 - 1")
-    getrandbits, bits = random.Random(seed).getrandbits, count.bit_length()
-    # A block fetches its pairs' mean words, 2 * 2^b / c per pair of draws over
-    # the share 1 - 1/c of unequal pairs, plus a margin, so it fetches once.
-    per_pair = 2 * 2**bits / count / (1 - 1 / count)
-    draws = np.zeros(0, dtype=np.int64)
+    """`budget` seeded ordered pairs i != j in blocks of _BLOCK pairs: from
+    two 64-bit words w0, w1 of `random.Random(seed)`, i = w0 mod count and
+    j = (i + 1 + w1 mod (count - 1)) mod count, uniform to within count/2^64.
+    A block makes one fetch, `getrandbits(128 * need)`, whose little-endian
+    uint64 words are successive `getrandbits(64)` values; the sum is taken
+    in uint64, which cannot overflow below count = 2^63."""
+    if count.bit_length() > 63:
+        raise ValueError(f"cannot sample among {count} frequencies: at most 2^63 - 1")
+    getrandbits = random.Random(seed).getrandbits
+    n, rest = np.uint64(count), np.uint64(count - 1)  # uint64 scalars: no float
     for lo in range(0, budget, _BLOCK):
         need = min(_BLOCK, budget - lo)
-        while True:
-            pairs = draws[: len(draws) // 2 * 2].reshape(-1, 2)
-            if len(kept := np.flatnonzero(pairs[:, 0] != pairs[:, 1])) >= need:
-                break
-            more = int((need - len(kept)) * per_pair * 1.02) + 64
-            fresh = getrandbits(32 * more).to_bytes(4 * more, "little")
-            tops = np.frombuffer(fresh, "<u4") >> (32 - bits)
-            draws = np.concatenate([draws, tops[tops < count]])
-        i, j = pairs[kept[:need]].T
-        draws = draws[2 * kept[need - 1] + 2 :]
-        yield i, j
+        words = getrandbits(128 * need).to_bytes(16 * need, "little")
+        w0, w1 = np.frombuffer(words, "<u8").reshape(-1, 2).T
+        i = w0 % n
+        yield i.astype(np.int64), ((i + 1 + w1 % rest) % n).astype(np.int64)
 
 
 def export_geometry(

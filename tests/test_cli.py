@@ -930,16 +930,17 @@ def test_lazy_exports_are_the_submodules_objects():
 
 
 def test_continuum_sample_at_the_largest_radius(capsys):
-    # 6 * 59^5 frequencies fit the 32-bit draws; no array grows with the
-    # (2K+1)^5 shifts, so K = 29 runs in the memory of K = 0.
+    # 6 * 4337^5 frequencies fit the int64 indices (6 * 4339^5 do not); no
+    # array grows with the (2K+1)^5 shifts, so K = 2168 runs in the memory
+    # of K = 0.
     argv = "--json counterexample continuum --m 1 --pair-budget 1000".split()
-    code, out = run(capsys, *argv, "--k-radius", "29")
+    code, out = run(capsys, *argv, "--k-radius", "2168")
     assert code == 0
     payload = json.loads(out)
     assert payload["pairs_checked"] == 1000 and payload["sampled"] is True
-    code, out = run(capsys, *argv, "--k-radius", "30")
+    code, out = run(capsys, *argv, "--k-radius", "2169")
     assert code == 2
-    assert "at most 2^32 - 1" in json.loads(out)["error"]
+    assert "at most 2^63 - 1" in json.loads(out)["error"]
 
 
 def test_continuum_builds_no_point_set_of_the_lift(capsys, monkeypatch):
@@ -987,7 +988,7 @@ _CONTRACT_VALUES = {
         ["0", "-1", *_NOT_AN_INTEGER],
     ),
     ("counterexample", "k_radius"): (
-        ["0", "1", "2", "40", "1000000000"],
+        ["0", "1", "2", "40", "2168", "2169", "1000000000"],
         ["-1", *_NOT_AN_INTEGER],
     ),
     ("counterexample", "pair_budget"): (["1", "2", "1000"], ["0", "-1", *_NOT_AN_INTEGER]),

@@ -139,13 +139,12 @@ def test_truncation_rejects_frequencies_of_another_dimension(lifted):
 
 
 def randrange_pairs(count, budget, seed):
-    """The first `budget` pairs (randrange(count), randrange(count)) from
-    random.Random(seed) whose two draws differ."""
+    """The first `budget` pairs of random.Random(seed), one at a time in
+    Python ints: i from one 64-bit word, j from the next, j != i."""
     rng, pairs = random.Random(seed), []
-    while len(pairs) < budget:
-        i, j = rng.randrange(count), rng.randrange(count)
-        if i != j:
-            pairs.append((i, j))
+    for _ in range(budget):
+        i = rng.getrandbits(64) % count
+        pairs.append((i, (i + 1 + rng.getrandbits(64) % (count - 1)) % count))
     return pairs
 
 
@@ -241,11 +240,15 @@ def test_repeated_frequency_fails_in_the_sample(m, k_radius, budget):
     assert result == truncation_reference(o1, bad, k_radius, budget)
 
 
-@pytest.mark.parametrize("count", [2, 3, 4, 5, 8, 1024, 5184, 2**31, 2**32 - 1])
+@pytest.mark.parametrize(
+    "count",
+    [2, 3, 4, 5, 8, 1024, 5184, 2**31, 2**32 - 1]
+    + [2**32, 2**40 + 3, 2**62 + 1, 2**63 - 1],
+)
 def test_sampled_pairs_are_the_randrange_draws(count):
-    # The numpy decoding of the generator's words against a per-draw loop;
-    # small counts skip many equal pairs, powers of two and 2^32 - 1 reject
-    # many or few words, and the budgets straddle a block.
+    # The numpy decoding of the generator's words against a per-pair loop in
+    # Python ints; near 2^63 the uint64 sum i + 1 + w1 mod (count - 1) would
+    # overflow int64, and the budgets straddle a block.
     for seed in range(3):
         for budget in (0, 1, 4095, 4096, 4097, 9000):
             blocks = list(_sampled_pairs(count, budget, seed))
@@ -255,12 +258,24 @@ def test_sampled_pairs_are_the_randrange_draws(count):
             assert all(i.dtype == j.dtype == np.int64 for i, j in blocks)
             pairs = [p for i, j in blocks for p in zip(i.tolist(), j.tolist())]
             assert pairs == randrange_pairs(count, budget, seed)
+            assert all(i != j for i, j in pairs)
+
+
+def test_sampled_pairs_are_uniform_over_unequal_pairs():
+    # 60,000 pairs among 3 frequencies: each of the 6 ordered pairs i != j
+    # within 2% of 10,000 times; among 2, j is the other one.
+    i, j = (np.concatenate(a) for a in zip(*_sampled_pairs(3, 60_000, 0)))
+    counts = np.bincount(3 * i + j, minlength=9).reshape(3, 3)
+    assert not counts.diagonal().any()
+    assert all(9_800 <= c <= 10_200 for c in counts[~np.eye(3, dtype=bool)])
+    for i, j in _sampled_pairs(2, 9000, 0):
+        assert (j == 1 - i).all()
 
 
 def test_sampled_pairs_fetch_once_per_block(monkeypatch):
-    # A block fetches the words its pairs take on average, plus a margin:
-    # one getrandbits call for each of the 25 blocks of 100,000 pairs among
-    # 46,656 frequencies.
+    # A block fetches two 64-bit words per pair at once: one getrandbits
+    # call for each of the 25 blocks of 100,000 pairs among 46,656
+    # frequencies.
     fetches = []
 
     class Counting(random.Random):
@@ -274,23 +289,26 @@ def test_sampled_pairs_fetch_once_per_block(monkeypatch):
 
 
 def test_sampled_pairs_reject_counts_of_33_bits():
-    with pytest.raises(ValueError, match="2\\^32"):
-        next(_sampled_pairs(2**32, 1, 0))
+    # Past 2^63 - 1 frequencies the indices leave int64.
+    with pytest.raises(ValueError, match="at most 2\\^63 - 1"):
+        next(_sampled_pairs(2**63, 1, 0))
 
 
 def test_truncation_memory_is_flat_in_the_radius():
     # Shifts are decoded from the frequency index and the verdicts need only
     # the numerators' keys mod M and cell sums over Z_3, so K = 8 (6 * 17^5
-    # frequencies) needs no shift array.
+    # frequencies) and K = 2168 (6 * 4337^5, the largest radius whose count
+    # is below 2^63) need no shift array.
     o1, l1 = lifted_pair(1)
-    tracemalloc.start()
-    try:
-        result = verify_spectrum_truncation(o1, l1, 8, pair_budget=1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.valid and result.sampled and result.pairs_checked == 1000
-    assert peak < 5 * 2**20
+    for k_radius in (8, 2168):
+        tracemalloc.start()
+        try:
+            result = verify_spectrum_truncation(o1, l1, k_radius, pair_budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.valid and result.sampled and result.pairs_checked == 1000
+        assert peak < 5 * 2**20, k_radius
 
 
 def test_pairs_are_decided_from_the_factors_without_points(monkeypatch):
